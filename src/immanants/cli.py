@@ -2,7 +2,7 @@
 
 Partitions on the command line are comma-separated descending integers;
 the empty partition is spelled `-`.  Exit codes: 0 on success, 1 on
-invalid input, 2 when a verification check fails.
+invalid input, 2 when a verification check fails or a suite checks nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .immanant_characters import (
 from .jacobitrudi import hess_prime, hessenberg_from_skew, immanant, jt_matrix, NotHessenbergError
 from .symfunc import convert
 from .tableaux import SkewShape, check_partition, kostka, partitions_of, skew_shape
-from .verify import run_suites, scan_records
+from .verify import SUITES, run_suites, scan_records
 
 
 def _dumps(obj) -> str:
@@ -183,13 +183,25 @@ def cmd_verify(args) -> int:
         for r in reports:
             status = "ok" if r.ok else f"{len(r.failures)} FAILURES"
             print(f"{r.name}: {r.instances} instances, {status}")
-    return 0 if all(r.ok for r in reports) else 2
+    if "all" in suites:
+        suites = list(SUITES)
+    vacuous = [name for name, r in zip(suites, reports) if r.instances == 0]
+    if vacuous:
+        print(f"suite {', '.join(vacuous)} ran 0 instances; nothing was checked", file=sys.stderr)
+    return 0 if all(r.ok for r in reports) and not vacuous else 2
 
 
 def cmd_scan(args) -> int:
     for record in scan_records(args.max_n, args.max_size):
         print(_dumps(record))
     return 0
+
+
+def bound(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -250,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all",
                    help="comma-separated: kostka,characters,immanant,hook,reductions,positivity,all")
-    p.add_argument("--max-n", type=int, default=4, dest="max_n")
-    p.add_argument("--max-size", type=int, default=7, dest="max_size")
+    p.add_argument("--max-n", type=bound, default=4, dest="max_n")
+    p.add_argument("--max-size", type=bound, default=7, dest="max_size")
     add_format(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="stream evidence records for bounded instances")
-    p.add_argument("--max-n", type=int, default=3, dest="max_n")
-    p.add_argument("--max-size", type=int, default=5, dest="max_size")
+    p.add_argument("--max-n", type=bound, default=3, dest="max_n")
+    p.add_argument("--max-size", type=bound, default=5, dest="max_size")
     p.set_defaults(func=cmd_scan)
 
     return parser

@@ -21,13 +21,14 @@ from .characters import ClassFunction, zee, zero_character
 from .jacobitrudi import (
     HessenbergFunction,
     NotHessenbergError,
+    cycle_cover_counts,
     hess_prime,
     hessenberg,
     hessenberg_from_skew,
     jt_matrix,
 )
-from .permutations import Permutation, conjugacy_classes
-from .tableaux import Partition, SkewShape, check_partition, hook_leg, kostka
+from .permutations import Permutation
+from .tableaux import Partition, SkewShape, check_partition, hook_leg, kostka, partitions_of
 
 
 def content_vector(shape: SkewShape, w: Permutation) -> tuple[int, ...]:
@@ -38,38 +39,38 @@ def content_vector(shape: SkewShape, w: Permutation) -> tuple[int, ...]:
     to the size of the shape.
     """
     mu, nu = shape.padded()
-    n = shape.rows
-    out = [0] * n
-    for i in range(n):
-        t = w[i] - 1
-        out[t] = (mu[t] + (n - 1 - t)) - (nu[i] + (n - 1 - i))
+    out = [0] * shape.rows
+    for i, target in enumerate(w):
+        r = target - 1
+        out[r] = mu[r] - nu[i] + i - r
     return tuple(out)
 
 
 def immanant_character(theta, shape: SkewShape) -> ClassFunction:
-    """Class function of the shape at theta, by direct class-by-class sums."""
+    """Class function of the shape at theta.
+
+    zee(rho) * sum of kostka(theta, content_vector(shape, w)) over w of cycle type rho,
+    read off `cycle_cover_counts`: the content of w is the subscript multiset along w^-1.
+    """
     theta = check_partition(theta)
     if sum(theta) != shape.size:
         raise ValueError(
             f"theta has size {sum(theta)} but the shape has {shape.size} boxes"
         )
-    n = shape.rows
-    values = {}
-    for rho, members in conjugacy_classes(n).items():
-        acc = 0
-        for w in members:
-            acc += kostka(theta, content_vector(shape, w))
-        values[rho] = zee(rho) * acc
-    return ClassFunction(n, values)
+    counts = cycle_cover_counts(jt_matrix(shape).sub)
+    values = {
+        rho: zee(rho) * sum(c * kostka(theta, alpha) for alpha, c in counts.get(rho, {}).items())
+        for rho in partitions_of(shape.rows)
+    }
+    return ClassFunction(shape.rows, values)
 
 
 def stanley_stembridge_character(h: HessenbergFunction) -> ClassFunction:
     """Value at a class is zee * number of class members staying under h."""
     n = h.n
-    values = {}
-    for rho, members in conjugacy_classes(n).items():
-        count = sum(1 for w in members if h.admits(w))
-        values[rho] = zee(rho) * count
+    admissible = [[0 if j <= v else -1 for j in range(1, n + 1)] for v in h.values]
+    counts = cycle_cover_counts(admissible)
+    values = {rho: zee(rho) * sum(counts.get(rho, {}).values()) for rho in partitions_of(n)}
     return ClassFunction(n, values)
 
 

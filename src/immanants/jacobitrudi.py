@@ -9,7 +9,9 @@ bookkeeping over multisets of subscripts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import le
 
 from .characters import ClassFunction
 from .permutations import Permutation, cycle_type
@@ -46,7 +48,7 @@ class HessenbergFunction:
 
     def admits(self, w: Permutation) -> bool:
         """True iff w(i) <= h(i) for every i."""
-        return all(x <= v for x, v in zip(w, self.values))
+        return all(map(le, w, self.values))
 
     @property
     def max_excess(self) -> int:
@@ -106,24 +108,19 @@ def jt_matrix(shape: SkewShape) -> JTMatrix:
     return JTMatrix(n, sub)
 
 
-def hessenberg_from_skew(shape: SkewShape) -> HessenbergFunction:
-    """h(j) = last row whose column-j entry is nonzero.
+def _leading_run(shape: SkewShape, least: int) -> HessenbergFunction:
+    """h(j) = last row whose column-j subscript mu_i - nu_j + j - i is at least `least`.
 
-    Column entries strictly decrease downwards, so this is exactly the
-    nonzero pattern of the matrix.  Total on valid skew shapes.
+    i - mu_i strictly increases, so those rows are a prefix found by bisection.
     """
     mu, nu = shape.padded()
-    n = shape.rows
-    values = []
-    for j in range(n):
-        h_j = 0
-        for i in range(n):
-            if mu[i] - nu[j] + (j + 1) - (i + 1) >= 0:
-                h_j = i + 1
-            else:
-                break
-        values.append(h_j)
-    return hessenberg(values)
+    keys = [i - m for i, m in enumerate(mu)]
+    return hessenberg([bisect_right(keys, j - v - least) for j, v in enumerate(nu)])
+
+
+def hessenberg_from_skew(shape: SkewShape) -> HessenbergFunction:
+    """Nonzero pattern of the matrix: h(j) = last row whose column-j entry is nonzero."""
+    return _leading_run(shape, 0)
 
 
 def hess_prime(shape: SkewShape) -> HessenbergFunction:
@@ -132,53 +129,55 @@ def hess_prime(shape: SkewShape) -> HessenbergFunction:
     Raises NotHessenbergError when some column loses its last entry at or
     below the diagonal; by convention such shapes are not pre-abelian.
     """
-    mu, nu = shape.padded()
-    n = shape.rows
-    values = []
-    for j in range(n):
-        h_j = 0
-        for i in range(n):
-            if mu[i] - nu[j] + (j + 1) - (i + 1) > 0:
-                h_j = i + 1
-            else:
-                break
-        values.append(h_j)
-    return hessenberg(values)
+    return _leading_run(shape, 1)
 
 
-def immanant(chi: ClassFunction, shape: SkewShape) -> SymFunc:
-    """The immanant of the shape's Jacobi-Trudi matrix, in the h basis.
+def cycle_cover_counts(sub) -> dict[Partition, dict[Partition, int]]:
+    """N[rho][alpha]: how many permutations w of cycle type rho, with every
+    sub[r][w(r)] >= 0, have positive subscripts forming the multiset alpha.
 
-    Sums chi(w) * h_{subscripts along w} over permutations, pruning any
+    The one enumeration of S_n behind every sum in the library: a walk that
+    places one column per row of the square grid `sub` and prunes any
     branch that hits a negative subscript (a zero matrix entry).
     """
-    n = shape.rows
-    if chi.n != n:
-        raise ValueError(f"character on S_{chi.n} does not match shape with {n} rows")
-    if n == 0:
-        return sym_func("h", 0, {(): chi.values[()]})
-    sub = jt_matrix(shape).sub
-    coeffs: dict[Partition, int] = {}
+    n = len(sub)
+    counts: dict[Partition, dict[Partition, int]] = {}
     used = [False] * n
     choice = [0] * n
+    picked = [0] * n
 
     def place(i: int) -> None:
         if i == n:
-            w = tuple(choice)
-            c = chi.values[cycle_type(w)]
-            if c:
-                key = tuple(
-                    sorted((sub[r][w[r] - 1] for r in range(n) if sub[r][w[r] - 1] > 0), reverse=True)
-                )
-                coeffs[key] = coeffs.get(key, 0) + c
+            alpha = tuple(sorted((x for x in picked if x > 0), reverse=True))
+            by_alpha = counts.setdefault(cycle_type(tuple(choice)), {})
+            by_alpha[alpha] = by_alpha.get(alpha, 0) + 1
             return
         row = sub[i]
         for j in range(n):
             if not used[j] and row[j] >= 0:
                 used[j] = True
                 choice[i] = j + 1
+                picked[i] = row[j]
                 place(i + 1)
                 used[j] = False
 
     place(0)
+    return counts
+
+
+def immanant(chi: ClassFunction, shape: SkewShape) -> SymFunc:
+    """The immanant of the shape's Jacobi-Trudi matrix, in the h basis.
+
+    Sums chi(w) * h_{subscripts along w} over permutations, grouped by
+    `cycle_cover_counts`.
+    """
+    n = shape.rows
+    if chi.n != n:
+        raise ValueError(f"character on S_{chi.n} does not match shape with {n} rows")
+    coeffs: dict[Partition, int] = {}
+    for rho, by_alpha in cycle_cover_counts(jt_matrix(shape).sub).items():
+        c = chi.values[rho]
+        if c:
+            for alpha, count in by_alpha.items():
+                coeffs[alpha] = coeffs.get(alpha, 0) + c * count
     return sym_func("h", shape.size, coeffs)

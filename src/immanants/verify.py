@@ -28,6 +28,7 @@ from .characters import (
 )
 from .immanant_characters import (
     collected_coefficient,
+    content_vector,
     hook_decomposition,
     immanant_character,
     is_dahlberg_small,
@@ -49,6 +50,7 @@ from .tableaux import (
     hook_leg,
     hook_partition,
     hooks_of,
+    is_hook,
     kostka,
     kostka_hook,
     partitions_of,
@@ -99,22 +101,19 @@ def verify_hook_decomposition(theta, shape: SkewShape) -> CheckReport:
     k = hook_leg(theta)
     decomp = hook_decomposition(theta, shape)
     base = decomp.base.values
-    lowered = [
-        (h.values, mult) for h, mult in decomp.summands
-    ]
     # Sandwich invariant: every summand sits between h-1 and h pointwise.
-    for values, _ in lowered:
-        if not all(b - 1 <= v <= b for v, b in zip(values, base)):
+    for h, _ in decomp.summands:
+        if not all(b - 1 <= v <= b for v, b in zip(h.values, base)):
             report.failures.append(
-                {"shape": _shape_desc(shape), "theta": list(theta), "bad_summand": list(values)}
+                {"shape": _shape_desc(shape), "theta": list(theta), "bad_summand": list(h.values)}
             )
-    expanded = [values for values, mult in lowered for _ in range(mult)]
-    if len(expanded) != (math.comb(n - 1, k) if k <= n - 1 else 0):
+    total = decomp.total_multiplicity
+    if total != (math.comb(n - 1, k) if k <= n - 1 else 0):
         report.failures.append(
             {
                 "shape": _shape_desc(shape),
                 "theta": list(theta),
-                "error": f"expected binom({n - 1},{k}) summands, got {len(expanded)}",
+                "error": f"expected binom({n - 1},{k}) summands, got {total}",
             }
         )
     for h, _ in decomp.summands:
@@ -125,18 +124,13 @@ def verify_hook_decomposition(theta, shape: SkewShape) -> CheckReport:
                 {"shape": _shape_desc(shape), "theta": list(theta), "error": str(exc)}
             )
 
-    mu, nu = shape.padded()
-    mud = tuple(mu[i] + n - 1 - i for i in range(n))
-    nud = tuple(nu[i] + n - 1 - i for i in range(n))
     kostka_memo: dict[tuple[int, ...], int] = {}
     lhs: dict[tuple, int] = {}
     rhs: dict[tuple, int] = {}
     for rho, members in conjugacy_classes(n).items():
         acc_l = acc_r = 0
         for w in members:
-            hat = [0] * n
-            for i in range(n):
-                hat[w[i] - 1] = mud[w[i] - 1] - nud[i]
+            hat = content_vector(shape, w)
             if min(hat) < 0:  # a zero matrix entry on the diagonal of w
                 kval = 0
             else:
@@ -145,10 +139,7 @@ def verify_hook_decomposition(theta, shape: SkewShape) -> CheckReport:
                 if kval is None:
                     kval = kostka(theta, hat)
                     kostka_memo[key] = kval
-            sval = 0
-            for values, mult in lowered:
-                if all(w[i] <= values[i] for i in range(n)):
-                    sval += mult
+            sval = sum(mult for h, mult in decomp.summands if h.admits(w))
             if kval != sval:
                 report.failures.append(
                     {
@@ -510,7 +501,7 @@ def scan_records(max_n: int, max_size: int):
                     record = {
                         "shape": shape.to_json(),
                         "theta": list(theta),
-                        "hook": _is_hook_safe(theta),
+                        "hook": is_hook(theta),
                         "h": list(h.values),
                         "identity_kostka": kostka(theta, identity_content),
                         "eta_expansion": dec.to_json(),
@@ -524,7 +515,3 @@ def scan_records(max_n: int, max_size: int):
                             {"h": list(hj.values), "mult": m} for hj, m in decomp.summands
                         ]
                     yield record
-
-
-def _is_hook_safe(theta) -> bool:
-    return all(x == 1 for x in theta[1:])

@@ -162,3 +162,20 @@ def test_scan_streams_json_lines(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and "immanants" in out
+
+
+def test_verify_and_scan_reject_bounds_below_one(capsys):
+    for command in ("verify", "scan"):
+        for flag in ("--max-n", "--max-size"):
+            for value in ("0", "-3"):
+                code, out, err = run_cli(capsys, command, flag, value)
+                assert code == 1 and out == ""
+                assert flag in err and "at least 1" in err
+
+
+def test_verify_exits_two_when_a_suite_checks_nothing(capsys):
+    # No immanant test shape has a single row, so this suite checks nothing.
+    code, out, err = run_cli(capsys, "verify", "--suite", "kostka,immanant", "--max-n", "1")
+    assert code == 2
+    assert [r["instances"] > 0 for r in json.loads(out)] == [True, False]
+    assert "suite immanant ran 0 instances" in err and "kostka" not in err

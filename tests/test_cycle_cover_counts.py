@@ -1,0 +1,140 @@
+"""The cycle-cover walk against brute-force sums over all of S_n.
+
+`immanant_character`, `stanley_stembridge_character` and `immanant` all read
+`cycle_cover_counts`; the oracles here enumerate `symmetric_group` instead.
+"""
+
+import random
+from collections import Counter
+from itertools import product
+
+import pytest
+
+from immanants import (
+    ClassFunction,
+    NotHessenbergError,
+    connected_skew_shapes,
+    content_vector,
+    cycle_type,
+    hess_prime,
+    hessenberg,
+    hessenberg_from_skew,
+    immanant,
+    immanant_character,
+    jt_matrix,
+    kostka,
+    partitions_of,
+    skew_shape,
+    stanley_stembridge_character,
+    sym_func,
+    symmetric_group,
+    zee,
+)
+from immanants.jacobitrudi import cycle_cover_counts
+
+CONNECTED = [
+    shape
+    for n in range(1, 6)
+    for size in range(n, 9)
+    for shape in connected_skew_shapes(n, size)
+]
+PADDED = [skew_shape(s.outer, s.inner, s.rows + 1) for s in CONNECTED]
+# The disconnected and empty-row goldens of verify.suite_reductions.
+DISCONNECTED = [
+    skew_shape((5, 4, 2, 2, 1), (3, 2, 2)),
+    skew_shape((5, 4, 2, 1), (3, 2)),
+    skew_shape((5, 4, 3, 2), (3, 3, 1)),
+    skew_shape((3, 2, 1), (2,)),
+    skew_shape((3, 2, 1), (1, 1)),
+    skew_shape((4, 2, 2), (2, 1)),
+    skew_shape((4, 4, 2), (3, 2)),
+    skew_shape((3, 2, 1, 1), (1, 1)),
+    skew_shape((3, 3, 2, 1), (2, 2)),
+]
+
+
+def oracle_immanant_character(shape):
+    """Every theta's class-by-class sum of Kostka numbers over S_n.
+
+    A content with a negative entry (a zero matrix entry) weighs 0; the
+    others are grouped up to order, under which Kostka numbers are invariant.
+    """
+    n = shape.rows
+    contents = Counter()
+    for w in symmetric_group(n):
+        content = content_vector(shape, w)
+        if min(content, default=0) >= 0:
+            contents[cycle_type(w), tuple(sorted(content))] += 1
+    out = {}
+    for theta in partitions_of(shape.size):
+        k = {c: kostka(theta, c) for _, c in contents}
+        by_class = dict.fromkeys(partitions_of(n), 0)
+        for (rho, content), count in contents.items():
+            by_class[rho] += count * k[content]
+        out[theta] = ClassFunction(n, {rho: zee(rho) * v for rho, v in by_class.items()})
+    return out
+
+
+def leibniz_immanant(chi, shape):
+    """Sum of chi(w) * product of the matrix entries along w, over all of S_n."""
+    n = shape.rows
+    sub = jt_matrix(shape).sub
+    coeffs = Counter()
+    for w in symmetric_group(n):
+        entries = [sub[i][w[i] - 1] for i in range(n)]
+        if all(e >= 0 for e in entries):
+            coeffs[tuple(sorted((e for e in entries if e > 0), reverse=True))] += chi.values[
+                cycle_type(w)
+            ]
+    return sym_func("h", shape.size, coeffs)
+
+
+@pytest.mark.parametrize("family", ["connected", "padded", "disconnected"])
+def test_immanant_character_matches_class_sums(family):
+    shapes = {"connected": CONNECTED, "padded": PADDED, "disconnected": DISCONNECTED}[family]
+    for shape in shapes:
+        for theta, want in oracle_immanant_character(shape).items():
+            assert immanant_character(theta, shape) == want, (shape, theta)
+
+
+def test_immanant_matches_leibniz_sum():
+    rng = random.Random(20230411)
+    for shape in [skew_shape((), (), 0)] + CONNECTED + PADDED + DISCONNECTED:
+        n = shape.rows
+        chi = ClassFunction(n, {rho: rng.randint(-5, 5) for rho in partitions_of(n)})
+        assert immanant(chi, shape).coeffs == leibniz_immanant(chi, shape).coeffs, shape
+
+
+def test_cycle_cover_counts_partition_the_admissible_permutations():
+    sub = jt_matrix(skew_shape((3, 3, 3, 1), (1, 1))).sub
+    counts = cycle_cover_counts(sub)
+    admissible = [
+        w for w in symmetric_group(4) if all(sub[i][w[i] - 1] >= 0 for i in range(4))
+    ]
+    assert sum(c for by_alpha in counts.values() for c in by_alpha.values()) == len(admissible)
+    assert all(sum(alpha) == 8 for by_alpha in counts.values() for alpha in by_alpha)
+    assert cycle_cover_counts(()) == {(): {(): 1}}
+
+
+def test_stanley_stembridge_matches_admissible_counts():
+    for n in range(0, 6):
+        for values in product(range(1, n + 1), repeat=n):
+            try:
+                h = hessenberg(values)
+            except NotHessenbergError:
+                continue
+            by_class = Counter(cycle_type(w) for w in symmetric_group(n) if h.admits(w))
+            want = {rho: zee(rho) * by_class[rho] for rho in partitions_of(n)}
+            assert stanley_stembridge_character(h).values == want, values
+
+
+def test_hessenberg_patterns_match_the_subscript_grid():
+    for shape in CONNECTED + PADDED + DISCONNECTED:
+        sub = jt_matrix(shape).sub
+        for least, pattern in ((0, hessenberg_from_skew), (1, hess_prime)):
+            want = [sum(1 for row in sub if row[j] >= least) for j in range(shape.rows)]
+            if any(v < j for j, v in enumerate(want, start=1)):
+                with pytest.raises(NotHessenbergError):
+                    pattern(shape)
+            else:
+                assert list(pattern(shape).values) == want, (shape, least)
