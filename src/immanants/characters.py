@@ -27,6 +27,7 @@ from .tableaux import (
 )
 
 
+@cache
 def zee(rho: Partition) -> int:
     """Centralizer order: product of i^m_i * m_i! over part multiplicities."""
     out = 1

@@ -2,9 +2,9 @@
 
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the partition of 0.  All counting here is exact integer
-arithmetic: Kostka numbers and skew Kostka numbers count semistandard
-fillings directly, Littlewood-Richardson coefficients count lattice
-fillings.
+arithmetic: Kostka numbers and skew Kostka numbers count chains of
+horizontal strips (the Pieri rule, one kernel for both), and
+Littlewood-Richardson coefficients count lattice fillings.
 """
 
 from __future__ import annotations
@@ -178,56 +178,49 @@ def skew_shape(outer: Iterable[int], inner: Iterable[int] = (), rows: int | None
     return SkewShape(mu, nu, rows)
 
 
-def _column_span(outer: Partition, inner: tuple[int, ...], col: int) -> tuple[int, int]:
-    """Rows (0-based, half-open) of the cells in 1-based column `col`."""
-    top = sum(1 for x in inner if x >= col)
-    bot = sum(1 for x in outer if x >= col)
-    return top, bot
-
-
 @cache
 def _ssyt_count(outer: Partition, inner: Partition, content: Partition) -> int:
     """Count semistandard fillings of outer/inner with `content` copies of 1..m.
 
-    Column-by-column backtracking; rows weakly increase, columns strictly
-    increase.  `content` is assumed normalized (positive, weakly decreasing).
+    The cells holding one letter form a horizontal strip (Pieri rule), so a
+    filling is a chain inner = mu_0 < mu_1 < ... < mu_m = outer in which
+    mu_k/mu_{k-1} is a horizontal strip of content[k-1] boxes.  The number
+    of chains reaching each mu_k is carried one letter at a time.  `content`
+    is assumed normalized (positive, weakly decreasing).
     """
-    size = sum(outer) - sum(inner)
-    if sum(content) != size:
+    if sum(content) != sum(outer) - sum(inner):
         return 0
-    if size == 0:
-        return 1
-    m = len(content)
-    ncols = outer[0]
-    nu = inner + (0,) * (len(outer) - len(inner))
-    spans = [_column_span(outer, nu, j) for j in range(1, ncols + 1)]
-    remaining = list(content)
-    grid = [[0] * ncols for _ in range(len(outer))]
-
-    def fill(ci: int, row: int) -> int:
-        if ci == ncols:
-            return 1
-        top, bot = spans[ci]
-        if row < top:
-            row = top
-        if row >= bot:
-            return fill(ci + 1, spans[ci + 1][0] if ci + 1 < ncols else 0)
-        above = grid[row - 1][ci] if row > top else 0
-        left = grid[row][ci - 1] if ci > 0 and nu[row] < ci else 0
-        lo = max(above + 1, left, 1)
-        hi = m - (bot - 1 - row)  # cells below need strictly larger values
-        total = 0
-        for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0:
+    rows = len(outer)
+    layer = {inner + (0,) * (rows - len(inner)): 1}
+    for size in content:
+        grown: dict[tuple[int, ...], int] = {}
+        for mu, ways in layer.items():
+            # Row i may grow up to min(outer_i, mu_{i-1}); only rows with room
+            # recurse, so the depth is at most the number of distinct parts.
+            caps = [min(o, a) for o, a in zip(outer, (outer[0],) + mu)]
+            free = [i for i in range(rows) if mu[i] < caps[i]]
+            room = [0] * (len(free) + 1)
+            for j in range(len(free) - 1, -1, -1):
+                room[j] = room[j + 1] + caps[free[j]] - mu[free[j]]
+            if size > room[0]:
                 continue
-            remaining[v - 1] -= 1
-            grid[row][ci] = v
-            total += fill(ci, row + 1)
-            grid[row][ci] = 0
-            remaining[v - 1] += 1
-        return total
+            nu = list(mu)
 
-    return fill(0, spans[0][0])
+            def grow(j: int, extra: int) -> None:
+                # Spread `extra` more boxes over the free rows j, j+1, ...
+                if j == len(free):
+                    key = tuple(nu)
+                    grown[key] = grown.get(key, 0) + ways
+                    return
+                i = free[j]
+                for take in range(max(0, extra - room[j + 1]), min(extra, caps[i] - mu[i]) + 1):
+                    nu[i] = mu[i] + take
+                    grow(j + 1, extra - take)
+                nu[i] = mu[i]
+
+            grow(0, size)
+        layer = grown
+    return layer.get(outer, 0)
 
 
 def _normalize_content(content: Iterable[int]) -> Partition | None:

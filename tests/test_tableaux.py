@@ -1,9 +1,12 @@
 import json
+import math
 import random
 from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immanants import (
     SkewShape,
@@ -20,7 +23,8 @@ from immanants import (
     skew_kostka,
     skew_shape,
 )
-from immanants.tableaux import check_partition, inverse_kostka_matrix
+from immanants.symfunc import MAX_DEGREE
+from immanants.tableaux import _ssyt_count, check_partition, inverse_kostka_matrix
 
 
 # ---------------------------------------------------------------- oracles
@@ -58,6 +62,55 @@ def ssyt_count_oracle(outer, inner, content):
         return total
 
     return chains(tuple(outer), len(content))
+
+
+def ssyt_enumeration_oracle(outer, inner, content):
+    """Count SSYT of outer/inner one filling at a time, independently of the kernel.
+
+    Column-by-column backtracking: rows weakly increase, columns strictly
+    increase, and letter v is used exactly content[v-1] times.  The content
+    may hold zeros and be in any order.
+    """
+    size = sum(outer) - sum(inner)
+    if sum(content) != size:
+        return 0
+    if size == 0:
+        return 1
+    m = len(content)
+    ncols = outer[0]
+    nu = tuple(inner) + (0,) * (len(outer) - len(inner))
+    # Rows (0-based, half-open) of the cells in each column.
+    spans = [
+        (sum(1 for x in nu if x >= col), sum(1 for x in outer if x >= col))
+        for col in range(1, ncols + 1)
+    ]
+    remaining = list(content)
+    grid = [[0] * ncols for _ in range(len(outer))]
+
+    def fill(ci, row):
+        if ci == ncols:
+            return 1
+        top, bot = spans[ci]
+        if row < top:
+            row = top
+        if row >= bot:
+            return fill(ci + 1, spans[ci + 1][0] if ci + 1 < ncols else 0)
+        above = grid[row - 1][ci] if row > top else 0
+        left = grid[row][ci - 1] if ci > 0 and nu[row] < ci else 0
+        lo = max(above + 1, left, 1)
+        hi = m - (bot - 1 - row)  # cells below need strictly larger values
+        total = 0
+        for v in range(lo, hi + 1):
+            if remaining[v - 1] == 0:
+                continue
+            remaining[v - 1] -= 1
+            grid[row][ci] = v
+            total += fill(ci, row + 1)
+            grid[row][ci] = 0
+            remaining[v - 1] += 1
+        return total
+
+    return fill(0, spans[0][0])
 
 
 # ------------------------------------------------------------- partitions
@@ -113,6 +166,10 @@ def test_kostka_single_row_is_one():
 def test_kostka_standard_filling():
     assert kostka((2, 1), (1, 1, 1)) == 2
     assert kostka((2, 1), (1, 1, 1)) == ssyt_count_oracle((2, 1), (), (1, 1, 1))
+    # 60 letters in 60 rows: the count must not recurse once per letter.
+    assert kostka((1,) * 60, (1,) * 60) == 1
+    # The Catalan number C_20, out of reach of one-tableau-at-a-time counting.
+    assert kostka((20, 20), (1,) * 40) == math.comb(40, 20) // 21 == 6564120420
 
 
 def test_kostka_total_on_bad_input():
@@ -152,13 +209,54 @@ def test_kostka_matrix_unitriangular():
 
 
 def test_inverse_kostka_matrix():
-    for n in range(1, 7):
+    for n in (*range(1, 7), MAX_DEGREE):
         parts = partitions_of(n)
         km, inv = kostka_matrix(n), inverse_kostka_matrix(n)
         for a in parts:
             for b in parts:
                 total = sum(km[a][t] * inv[t][b] for t in parts)
                 assert total == (1 if a == b else 0)
+
+
+def test_ssyt_count_matches_enumeration_exhaustively():
+    # Every outer with at most 8 boxes, every inner inside it, every content.
+    checked = 0
+    for n in range(9):
+        for outer in partitions_of(n):
+            for m in range(n + 1):
+                for inner in partitions_of(m):
+                    if not contains(inner, outer):
+                        continue
+                    for content in partitions_of(n - m):
+                        got = _ssyt_count(outer, inner, content)
+                        assert got == ssyt_enumeration_oracle(outer, inner, content), (
+                            outer, inner, content)
+                        checked += 1
+    assert checked == 4136
+
+
+SMALL_CONNECTED_SHAPES = [
+    s for rows in range(1, 6) for size in range(rows, 11)
+    for s in connected_skew_shapes(rows, size)
+]
+
+
+@st.composite
+def shapes_with_contents(draw):
+    """A connected skew shape, a content for it with zeros anywhere, and a reordering."""
+    shape = draw(st.sampled_from(SMALL_CONNECTED_SHAPES))
+    letters = draw(st.lists(st.integers(0, 7), min_size=shape.size, max_size=shape.size))
+    content = [letters.count(v) for v in range(8)]
+    return shape, content, draw(st.permutations(content))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(shapes_with_contents())
+def test_skew_kostka_property_against_enumeration(case):
+    shape, content, shuffled = case
+    value = skew_kostka(shape, content)
+    assert value == ssyt_enumeration_oracle(shape.outer, shape.inner, content)
+    assert skew_kostka(shape, shuffled) == value
 
 
 # ------------------------------------------------------------ hook kostka
