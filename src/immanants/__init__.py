@@ -29,6 +29,7 @@ from .immanant_characters import (
     content_vector,
     hook_decomposition,
     immanant_character,
+    immanant_characters,
     is_abelian,
     is_dahlberg_small,
     is_preabelian,

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 from .tableaux import (
     Partition,
@@ -251,6 +252,17 @@ class HPositiveDecomposition:
         }
 
 
+@cache
+def _weighted_monomial_rows(n: int) -> dict[Partition, list[int]]:
+    """Per lam, class_size(rho) * phi_lam(rho) over partitions_of(n): the
+    n!-scaled inner product with phi_lam is one dot product with this row."""
+    classes = partitions_of(n)
+    return {
+        lam: [class_size(rho) * monomial_character(lam).values[rho] for rho in classes]
+        for lam in classes
+    }
+
+
 def h_positive_decomposition(chi: ClassFunction) -> HPositiveDecomposition:
     """Coefficients of chi over the induced trivial characters.
 
@@ -260,16 +272,21 @@ def h_positive_decomposition(chi: ClassFunction) -> HPositiveDecomposition:
     results the expansion is re-summed and checked against chi exactly.
     """
     n = chi.n
+    classes = partitions_of(n)
+    values = [chi.values[rho] for rho in classes]
+    order = math.factorial(n)
     coeffs = {
-        lam: inner_product(chi, monomial_character(lam)) for lam in partitions_of(n)
+        lam: Fraction(sum(map(mul, row, values)), order)
+        for lam, row in _weighted_monomial_rows(n).items()
     }
     integral = all(c.denominator == 1 for c in coeffs.values())
     nonneg = all(c >= 0 for c in coeffs.values())
     if integral:
-        recon = zero_character(n)
+        recon = [0] * len(classes)
         for lam, c in coeffs.items():
             if c:
-                recon = recon + int(c) * induced_trivial_character(lam)
-        if recon != chi:
+                eta = induced_trivial_character(lam).values
+                recon = [r + int(c) * eta[rho] for r, rho in zip(recon, classes)]
+        if recon != values:
             raise AssertionError("induced-trivial expansion failed to reconstruct input")
     return HPositiveDecomposition(n, coeffs, integral, nonneg)

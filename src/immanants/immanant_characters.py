@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .characters import ClassFunction, zee, zero_character
@@ -28,7 +29,14 @@ from .jacobitrudi import (
     jt_matrix,
 )
 from .permutations import Permutation
-from .tableaux import Partition, SkewShape, check_partition, hook_leg, kostka, partitions_of
+from .tableaux import (
+    Partition,
+    SkewShape,
+    _ssyt_count,
+    check_partition,
+    hook_leg,
+    partitions_of,
+)
 
 
 def content_vector(shape: SkewShape, w: Permutation) -> tuple[int, ...]:
@@ -46,23 +54,41 @@ def content_vector(shape: SkewShape, w: Permutation) -> tuple[int, ...]:
     return tuple(out)
 
 
-def immanant_character(theta, shape: SkewShape) -> ClassFunction:
-    """Class function of the shape at theta.
+def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassFunction]:
+    """Class function of the shape at each theta (default: every partition of its size).
 
-    zee(rho) * sum of kostka(theta, content_vector(shape, w)) over w of cycle type rho,
-    read off `cycle_cover_counts`: the content of w is the subscript multiset along w^-1.
+    zee(rho) * sum of N[rho][alpha] * K(theta, alpha), with N read off one
+    `cycle_cover_counts` walk shared by every theta: the content of w is the
+    subscript multiset along w^-1.  Each alpha is already a partition of the
+    shape's size, so K comes straight from the Pieri kernel.
     """
-    theta = check_partition(theta)
-    if sum(theta) != shape.size:
-        raise ValueError(
-            f"theta has size {sum(theta)} but the shape has {shape.size} boxes"
-        )
+    if thetas is None:
+        thetas = partitions_of(shape.size)
+    else:
+        thetas = [check_partition(theta) for theta in thetas]
+        for theta in thetas:
+            if sum(theta) != shape.size:
+                raise ValueError(
+                    f"theta has size {sum(theta)} but the shape has {shape.size} boxes"
+                )
     counts = cycle_cover_counts(jt_matrix(shape).sub)
-    values = {
-        rho: zee(rho) * sum(c * kostka(theta, alpha) for alpha, c in counts.get(rho, {}).items())
-        for rho in partitions_of(shape.rows)
+    classes = [(rho, zee(rho), counts.get(rho, {}).items()) for rho in partitions_of(shape.rows)]
+    return {
+        theta: ClassFunction(
+            shape.rows,
+            {
+                rho: z * sum(c * _ssyt_count(theta, (), alpha) for alpha, c in by_alpha)
+                for rho, z, by_alpha in classes
+            },
+        )
+        for theta in thetas
     }
-    return ClassFunction(shape.rows, values)
+
+
+def immanant_character(theta, shape: SkewShape) -> ClassFunction:
+    """Class function of the shape at theta; the one-theta case of `immanant_characters`."""
+    theta = check_partition(theta)
+    return immanant_characters(shape, (theta,))[theta]
 
 
 def stanley_stembridge_character(h: HessenbergFunction) -> ClassFunction:
@@ -74,22 +100,28 @@ def stanley_stembridge_character(h: HessenbergFunction) -> ClassFunction:
     return ClassFunction(n, values)
 
 
+def _corners(shape: SkewShape, h: HessenbergFunction) -> tuple[int, ...]:
+    sub = jt_matrix(shape).sub
+    return tuple(sub[v - 1][j] for j, v in enumerate(h.values))
+
+
 def corner_subscripts(shape: SkewShape) -> tuple[int, ...]:
     """Subscript of the last nonzero entry of each column (the h(i)-th row)."""
-    h = hessenberg_from_skew(shape)
-    sub = jt_matrix(shape).sub
-    return tuple(sub[h(i) - 1][i - 1] for i in range(1, shape.rows + 1))
+    return _corners(shape, hessenberg_from_skew(shape))
+
+
+def _lowered(values: tuple[int, ...], corners: tuple[int, ...], subset) -> tuple[int, ...]:
+    lowered = list(values)
+    for i in subset:
+        if corners[i - 1] == 0:
+            lowered[i - 1] -= 1
+    return tuple(lowered)
 
 
 def lowered_hessenberg(shape: SkewShape, subset: tuple[int, ...]) -> HessenbergFunction:
     """Lower h at the subset columns whose bottom nonzero entry is a 1."""
     h = hessenberg_from_skew(shape)
-    d = corner_subscripts(shape)
-    values = list(h.values)
-    for i in subset:
-        if d[i - 1] == 0:
-            values[i - 1] -= 1
-    return hessenberg(values)
+    return hessenberg(_lowered(h.values, _corners(shape, h), subset))
 
 
 @dataclass(frozen=True)
@@ -101,6 +133,11 @@ class HookDecomposition:
     base: HessenbergFunction
     leg: int
     summands: tuple[tuple[HessenbergFunction, int], ...]
+
+    @cached_property
+    def corners(self) -> tuple[int, ...]:
+        """`corner_subscripts` of the shape, computed once per decomposition."""
+        return _corners(self.shape, self.base)
 
     @property
     def total_multiplicity(self) -> int:
@@ -150,15 +187,12 @@ def hook_decomposition(theta, shape: SkewShape) -> HookDecomposition:
             stacklevel=2,
         )
         return HookDecomposition(theta, shape, base, k, ())
-    collected: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
+    corners = _corners(shape, base)
+    collected: dict[tuple[int, ...], int] = {}  # first-seen order
     for subset in combinations(range(1, n), k):
-        hj = lowered_hessenberg(shape, subset)
-        if hj.values not in collected:
-            collected[hj.values] = 0
-            order.append(hj.values)
-        collected[hj.values] += 1
-    summands = tuple((hessenberg(v), collected[v]) for v in order)
+        values = _lowered(base.values, corners, subset)
+        collected[values] = collected.get(values, 0) + 1
+    summands = tuple((hessenberg(v), m) for v, m in collected.items())
     return HookDecomposition(theta, shape, base, k, summands)
 
 
@@ -170,7 +204,7 @@ def collected_coefficient(decomp: HookDecomposition, h: HessenbergFunction) -> i
     against the enumerated multiplicity.
     """
     enumerated = decomp.multiplicity(h)  # KeyError if not a summand
-    d = corner_subscripts(decomp.shape)
+    d = decomp.corners
     n = decomp.shape.rows
     a = sum(1 for i in range(1, n) if d[i - 1] > 0)
     b = decomp.leg - sum(

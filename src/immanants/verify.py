@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import product
 from multiprocessing import Pool
+from operator import getitem
 
 from .characters import (
     ClassFunction,
@@ -28,13 +29,13 @@ from .characters import (
 )
 from .immanant_characters import (
     collected_coefficient,
-    content_vector,
     hook_decomposition,
     immanant_character,
+    immanant_characters,
     is_dahlberg_small,
     stanley_stembridge_character,
 )
-from .jacobitrudi import hessenberg_from_skew, immanant
+from .jacobitrudi import hessenberg_from_skew, immanant, jt_matrix
 from .permutations import conjugacy_classes
 from .reductions import (
     components,
@@ -124,20 +125,22 @@ def verify_hook_decomposition(theta, shape: SkewShape) -> CheckReport:
                 {"shape": _shape_desc(shape), "theta": list(theta), "error": str(exc)}
             )
 
+    # content_vector(shape, w) holds the subscript at row w(i), column i; with
+    # column i of the grid behind a placeholder, that is columns[i][w(i)].
+    columns = [(None, *col) for col in zip(*jt_matrix(shape).sub)]
     kostka_memo: dict[tuple[int, ...], int] = {}
     lhs: dict[tuple, int] = {}
     rhs: dict[tuple, int] = {}
     for rho, members in conjugacy_classes(n).items():
         acc_l = acc_r = 0
         for w in members:
-            hat = content_vector(shape, w)
-            if min(hat) < 0:  # a zero matrix entry on the diagonal of w
+            key = tuple(sorted(map(getitem, columns, w)))  # the content of w, sorted
+            if key[0] < 0:  # a zero matrix entry on the diagonal of w
                 kval = 0
             else:
-                key = tuple(sorted(hat))
                 kval = kostka_memo.get(key)
                 if kval is None:
-                    kval = kostka(theta, hat)
+                    kval = kostka(theta, key)
                     kostka_memo[key] = kval
             sval = sum(mult for h, mult in decomp.summands if h.admits(w))
             if kval != sval:
@@ -219,12 +222,14 @@ def verify_empty_row_removal(shape: SkewShape, thetas=None) -> CheckReport:
     report = CheckReport("empty-row-removal")
     reduced = remove_empty_rows(shape)
     padded = skew_shape(reduced.outer, reduced.inner, shape.rows)
-    for theta in thetas or partitions_of(shape.size):
+    thetas = thetas or None
+    by_padded = immanant_characters(padded, thetas)
+    for theta, gamma in immanant_characters(shape, thetas).items():
         report.merge(
             verify_character_equality(
                 "empty-row-removal",
-                immanant_character(theta, shape),
-                immanant_character(theta, padded),
+                gamma,
+                by_padded[theta],
                 {"shape": _shape_desc(shape), "theta": list(theta)},
             )
         )
@@ -236,12 +241,14 @@ def verify_component_reorder(a: SkewShape, b: SkewShape, thetas=None) -> CheckRe
     if a.rows != b.rows or a.size != b.size:
         raise ValueError("shapes must share the same row count and size")
     report = CheckReport("component-reorder")
-    for theta in thetas or partitions_of(a.size):
+    thetas = thetas or None
+    by_b = immanant_characters(b, thetas)
+    for theta, gamma in immanant_characters(a, thetas).items():
         report.merge(
             verify_character_equality(
                 "component-reorder",
-                immanant_character(theta, a),
-                immanant_character(theta, b),
+                gamma,
+                by_b[theta],
                 {"shapes": [_shape_desc(a), _shape_desc(b)], "theta": list(theta)},
             )
         )
@@ -251,11 +258,11 @@ def verify_component_reorder(a: SkewShape, b: SkewShape, thetas=None) -> CheckRe
 def verify_disconnected_product(shape: SkewShape, thetas=None) -> CheckReport:
     """The component product formula agrees with the direct computation."""
     report = CheckReport("disconnected-product")
-    for theta in thetas or partitions_of(shape.size):
+    for theta, gamma in immanant_characters(shape, thetas or None).items():
         report.merge(
             verify_character_equality(
                 "disconnected-product",
-                immanant_character(theta, shape),
+                gamma,
                 immanant_character_from_components(theta, shape),
                 {"shape": _shape_desc(shape), "theta": list(theta)},
             )
@@ -282,12 +289,14 @@ def verify_induction_stability(shape: SkewShape, thetas=None) -> CheckReport:
     """Adding one empty row means inducing up one letter."""
     report = CheckReport("induction-stability")
     bigger = skew_shape(shape.outer, shape.inner, shape.rows + 1)
-    for theta in thetas or partitions_of(shape.size):
+    thetas = thetas or None
+    by_shape = immanant_characters(shape, thetas)
+    for theta, gamma in immanant_characters(bigger, thetas).items():
         report.merge(
             verify_character_equality(
                 "induction-stability",
-                immanant_character(theta, bigger),
-                induce_up(immanant_character(theta, shape)),
+                gamma,
+                induce_up(by_shape[theta]),
                 {"shape": _shape_desc(shape), "theta": list(theta)},
             )
         )
@@ -357,14 +366,12 @@ def suite_immanant(max_n: int = 4, max_size: int = 8, seed: int = 24061859) -> C
     for shape in _immanant_test_shapes():
         if shape.rows > max_n or shape.size > max_size:
             continue
-        n, size = shape.rows, shape.size
+        n = shape.rows
         report.instances += 1
         det = convert(immanant(sign_character(n), shape), "s")
         if det.coeffs != skew_schur(shape).coeffs:
             report.failures.append({"shape": _shape_desc(shape), "check": "determinant"})
-        gammas = {
-            theta: immanant_character(theta, shape) for theta in partitions_of(size)
-        }
+        gammas = immanant_characters(shape)
         for _ in range(5):
             phi = ClassFunction(
                 n, {rho: rng.randint(-5, 5) for rho in partitions_of(n)}
@@ -452,10 +459,10 @@ def suite_positivity(max_n: int = 5, max_size: int = 8) -> CheckReport:
                     targets.append(shape)
     for shape in targets:
         n, size = shape.rows, shape.size
-        for k in range(0, min(n - 1, size - 1) + 1):
-            theta = hook_partition(size, k)
+        hooks = [hook_partition(size, k) for k in range(0, min(n - 1, size - 1) + 1)]
+        for theta, gamma in immanant_characters(shape, hooks).items():
             report.instances += 1
-            dec = h_positive_decomposition(immanant_character(theta, shape))
+            dec = h_positive_decomposition(gamma)
             if not (dec.is_integral and dec.is_nonnegative):
                 report.failures.append(
                     {"shape": _shape_desc(shape), "theta": list(theta), "coeffs": dec.to_json()}
@@ -495,8 +502,7 @@ def scan_records(max_n: int, max_size: int):
                 h = hessenberg_from_skew(shape)
                 mu, nu = shape.padded()
                 identity_content = tuple(m - v for m, v in zip(mu, nu))
-                for theta in partitions_of(size):
-                    gamma = immanant_character(theta, shape)
+                for theta, gamma in immanant_characters(shape).items():
                     dec = h_positive_decomposition(gamma)
                     record = {
                         "shape": shape.to_json(),

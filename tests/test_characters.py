@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immanants import (
     ClassFunction,
@@ -18,6 +20,7 @@ from immanants import (
     sign_character,
     trivial_character,
     zee,
+    zero_character,
 )
 from immanants.symfunc import convert, frobenius, frobenius_inverse, multiply, sym_func
 
@@ -238,3 +241,37 @@ def test_h_positive_reports_non_virtual_input():
     one_transposition = ClassFunction(2, {(1, 1): 0, (2,): 1})
     dec = h_positive_decomposition(one_transposition)
     assert not dec.is_integral  # reported, not raised
+
+
+@st.composite
+def integer_class_functions(draw):
+    """Random integer values (mostly not virtual characters), or an integer
+    combination of induced trivial characters (always integral)."""
+    n = draw(st.integers(0, 6))
+    classes = partitions_of(n)
+    if draw(st.booleans()):
+        chi = zero_character(n)
+        for lam in classes:
+            chi = chi + draw(st.integers(-3, 3)) * induced_trivial_character(lam)
+        return chi
+    return ClassFunction(n, {rho: draw(st.integers(-60, 60)) for rho in classes})
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(integer_class_functions())
+def test_h_positive_matches_inner_products_with_monomials(chi):
+    dec = h_positive_decomposition(chi)
+    want = {lam: inner_product(chi, monomial_character(lam)) for lam in partitions_of(chi.n)}
+    assert dec.coefficients == want
+    assert list(dec.coefficients) == list(partitions_of(chi.n))
+    assert dec.is_integral == all(c.denominator == 1 for c in want.values())
+    assert dec.is_nonnegative == all(c >= 0 for c in want.values())
+
+
+def test_h_positive_reconstruction_check_raises(monkeypatch):
+    chi = induced_trivial_character((2, 1))
+    monkeypatch.setattr(
+        "immanants.characters.induced_trivial_character", lambda lam: trivial_character(sum(lam))
+    )
+    with pytest.raises(AssertionError, match="failed to reconstruct"):
+        h_positive_decomposition(chi)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from immanants.cli import main
@@ -179,3 +180,20 @@ def test_verify_exits_two_when_a_suite_checks_nothing(capsys):
     assert code == 2
     assert [r["instances"] > 0 for r in json.loads(out)] == [True, False]
     assert "suite immanant ran 0 instances" in err and "kostka" not in err
+
+
+# Digests of stdout recorded before `immanant_characters` served every theta
+# from one cycle-cover walk; the sweeps must stay byte-identical.
+STDOUT_SHA256 = {
+    ("scan", "--max-n", "4", "--max-size", "6"):
+        "3ec0a60895a2a9293193cde567d1a58832430db39f73e61164f1fd4fe4eb2028",
+    ("verify", "--suite", "all", "--max-n", "4", "--max-size", "7"):
+        "62159d1996b29bcbe106825131241304bfbbf8aed22714921b7bf797bc79a077",
+}
+
+
+def test_sweep_stdout_is_byte_identical(capsys):
+    for argv, want in STDOUT_SHA256.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv

@@ -1,9 +1,11 @@
 """The cycle-cover walk against brute-force sums over all of S_n.
 
-`immanant_character`, `stanley_stembridge_character` and `immanant` all read
-`cycle_cover_counts`; the oracles here enumerate `symmetric_group` instead.
+`immanant_characters` (and through it `immanant_character`),
+`stanley_stembridge_character` and `immanant` all read `cycle_cover_counts`;
+the oracles here enumerate `symmetric_group` instead.
 """
 
+import importlib
 import random
 from collections import Counter
 from itertools import product
@@ -19,8 +21,10 @@ from immanants import (
     hess_prime,
     hessenberg,
     hessenberg_from_skew,
+    hooks_of,
     immanant,
     immanant_character,
+    immanant_characters,
     jt_matrix,
     kostka,
     partitions_of,
@@ -51,6 +55,7 @@ DISCONNECTED = [
     skew_shape((3, 2, 1, 1), (1, 1)),
     skew_shape((3, 3, 2, 1), (2, 2)),
 ]
+FAMILIES = {"connected": CONNECTED, "padded": PADDED, "disconnected": DISCONNECTED}
 
 
 def oracle_immanant_character(shape):
@@ -91,10 +96,48 @@ def leibniz_immanant(chi, shape):
 
 @pytest.mark.parametrize("family", ["connected", "padded", "disconnected"])
 def test_immanant_character_matches_class_sums(family):
-    shapes = {"connected": CONNECTED, "padded": PADDED, "disconnected": DISCONNECTED}[family]
-    for shape in shapes:
+    for shape in FAMILIES[family]:
         for theta, want in oracle_immanant_character(shape).items():
             assert immanant_character(theta, shape) == want, (shape, theta)
+
+
+@pytest.mark.parametrize("family", ["connected", "padded", "disconnected"])
+def test_immanant_characters_match_class_sums(family):
+    for shape in FAMILIES[family]:
+        got = immanant_characters(shape)
+        assert list(got) == list(partitions_of(shape.size)), shape
+        assert got == oracle_immanant_character(shape), shape
+
+
+def test_immanant_characters_agree_with_one_theta_at_a_time():
+    for shape in CONNECTED + DISCONNECTED:
+        every = immanant_characters(shape)
+        for theta, gamma in every.items():
+            assert immanant_character(theta, shape) == gamma, (shape, theta)
+        hooks = hooks_of(shape.size)
+        assert immanant_characters(shape, hooks) == {t: every[t] for t in hooks}, shape
+        # Thetas are validated and normalized like immanant_character's.
+        top = (shape.size,)
+        assert immanant_characters(shape, [[shape.size, 0]]) == {top: every[top]}, shape
+    assert immanant_characters(skew_shape((2, 1)), []) == {}
+
+
+def test_immanant_characters_reject_a_theta_of_the_wrong_size(monkeypatch):
+    shape = skew_shape((3, 3, 3, 1), (1, 1))
+    message = "theta has size 9 but the shape has 8 boxes"
+    with pytest.raises(ValueError, match=message):
+        immanant_character((9,), shape)
+
+    def walk(sub):
+        raise AssertionError("walked before every theta was checked")
+
+    # The package exports the function under its module's name, so fetch the module.
+    module = importlib.import_module("immanants.immanant_characters")
+    monkeypatch.setattr(module, "cycle_cover_counts", walk)
+    with pytest.raises(ValueError, match=message):
+        immanant_characters(shape, [(8,), (6, 1, 1), (9,)])
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        immanant_characters(shape, [(8,), (1, 7)])
 
 
 def test_immanant_matches_leibniz_sum():
