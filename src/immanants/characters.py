@@ -141,18 +141,22 @@ def character_table(n: int) -> dict[Partition, ClassFunction]:
     return {lam: irreducible_character(lam) for lam in partitions_of(n)}
 
 
+def _irreducible_sum(n: int, coeffs: dict[Partition, int]) -> ClassFunction:
+    """Sum over theta of coeffs[theta] times the irreducible character at theta."""
+    out = zero_character(n)
+    for theta in partitions_of(n):
+        if coeffs[theta]:
+            out = out + coeffs[theta] * irreducible_character(theta)
+    return out
+
+
 @cache
 def induced_trivial_character(lam) -> ClassFunction:
     """Permutation character on cosets of the Young subgroup of shape lam."""
     lam = check_partition(lam)
     n = sum(lam)
     km = kostka_matrix(n)
-    out = zero_character(n)
-    for theta in partitions_of(n):
-        coeff = km[theta][lam]
-        if coeff:
-            out = out + coeff * irreducible_character(theta)
-    return out
+    return _irreducible_sum(n, {theta: km[theta][lam] for theta in partitions_of(n)})
 
 
 @cache
@@ -160,13 +164,7 @@ def monomial_character(lam) -> ClassFunction:
     """The virtual character dual to the induced trivial basis."""
     lam = check_partition(lam)
     n = sum(lam)
-    inv = inverse_kostka_matrix(n)[lam]
-    out = zero_character(n)
-    for theta in partitions_of(n):
-        coeff = inv[theta]
-        if coeff:
-            out = out + coeff * irreducible_character(theta)
-    return out
+    return _irreducible_sum(n, inverse_kostka_matrix(n)[lam])
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> Fraction:

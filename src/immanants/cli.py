@@ -145,10 +145,6 @@ def cmd_immanant(args) -> int:
 def cmd_gamma(args) -> int:
     shape = _shape_from_args(args)
     theta = parse_partition(args.theta)
-    if sum(theta) != shape.size:
-        raise SystemExit(
-            f"theta sums to {sum(theta)} but the shape has {shape.size} boxes"
-        )
     gamma = immanant_character(theta, shape)
     _print_class_function(gamma, args.format)
     return 0

@@ -105,23 +105,12 @@ def _corners(shape: SkewShape, h: HessenbergFunction) -> tuple[int, ...]:
     return tuple(sub[v - 1][j] for j, v in enumerate(h.values))
 
 
-def corner_subscripts(shape: SkewShape) -> tuple[int, ...]:
-    """Subscript of the last nonzero entry of each column (the h(i)-th row)."""
-    return _corners(shape, hessenberg_from_skew(shape))
-
-
 def _lowered(values: tuple[int, ...], corners: tuple[int, ...], subset) -> tuple[int, ...]:
     lowered = list(values)
     for i in subset:
         if corners[i - 1] == 0:
             lowered[i - 1] -= 1
     return tuple(lowered)
-
-
-def lowered_hessenberg(shape: SkewShape, subset: tuple[int, ...]) -> HessenbergFunction:
-    """Lower h at the subset columns whose bottom nonzero entry is a 1."""
-    h = hessenberg_from_skew(shape)
-    return hessenberg(_lowered(h.values, _corners(shape, h), subset))
 
 
 @dataclass(frozen=True)
@@ -136,7 +125,7 @@ class HookDecomposition:
 
     @cached_property
     def corners(self) -> tuple[int, ...]:
-        """`corner_subscripts` of the shape, computed once per decomposition."""
+        """Subscript of each column's bottom nonzero entry (the h(i)-th row), computed once."""
         return _corners(self.shape, self.base)
 
     @property

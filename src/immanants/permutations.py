@@ -10,17 +10,6 @@ from .tableaux import Partition
 Permutation = tuple[int, ...]
 
 
-def identity(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
-
-
-def check_permutation(w: tuple[int, ...]) -> Permutation:
-    w = tuple(int(x) for x in w)
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError(f"{list(w)} is not a permutation of 1..{len(w)}")
-    return w
-
-
 def inverse(w: Permutation) -> Permutation:
     inv = [0] * len(w)
     for i, target in enumerate(w):

@@ -31,14 +31,6 @@ def check_partition(parts: Iterable[int]) -> Partition:
     return p
 
 
-def is_partition(parts: Iterable[int]) -> bool:
-    try:
-        check_partition(parts)
-    except ValueError:
-        return False
-    return True
-
-
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, lexicographically decreasing (canonical order)."""

@@ -8,12 +8,10 @@ would falsify the implementation, not the theorems being exercised.
 from __future__ import annotations
 
 import math
-import os
 import random
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
-from multiprocessing import Pool
 from operator import getitem
 
 from .characters import (
@@ -83,123 +81,90 @@ class CheckReport:
         }
 
 
-def _shape_desc(shape: SkewShape) -> dict:
-    return shape.to_json()
-
-
-def verify_hook_decomposition(theta, shape: SkewShape) -> CheckReport:
-    """Check the hook expansion on one (theta, shape) instance.
+def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
+    """Check the hook expansion of one shape at each hook theta.
 
     Verifies, for every permutation, that the Kostka number of the
     shuffled content equals the number of lowered Hessenberg functions
     admitting the permutation; verifies the class-function equality that
     follows; and checks the closed-form collected multiplicities against
-    the enumerated ones.
+    the enumerated ones.  One pass over S_n builds every permutation's
+    sorted content once for all thetas; failures come in theta order.
     """
-    theta = check_partition(theta)
-    report = CheckReport("hook-expansion")
+    thetas = [check_partition(theta) for theta in thetas]
     n = shape.rows
-    k = hook_leg(theta)
-    decomp = hook_decomposition(theta, shape)
-    base = decomp.base.values
-    # Sandwich invariant: every summand sits between h-1 and h pointwise.
-    for h, _ in decomp.summands:
-        if not all(b - 1 <= v <= b for v, b in zip(h.values, base)):
-            report.failures.append(
-                {"shape": _shape_desc(shape), "theta": list(theta), "bad_summand": list(h.values)}
-            )
-    total = decomp.total_multiplicity
-    if total != (math.comb(n - 1, k) if k <= n - 1 else 0):
-        report.failures.append(
-            {
-                "shape": _shape_desc(shape),
-                "theta": list(theta),
-                "error": f"expected binom({n - 1},{k}) summands, got {total}",
-            }
-        )
-    for h, _ in decomp.summands:
-        try:
-            collected_coefficient(decomp, h)
-        except AssertionError as exc:
-            report.failures.append(
-                {"shape": _shape_desc(shape), "theta": list(theta), "error": str(exc)}
-            )
-
     # content_vector(shape, w) holds the subscript at row w(i), column i; with
     # column i of the grid behind a placeholder, that is columns[i][w(i)].
     columns = [(None, *col) for col in zip(*jt_matrix(shape).sub)]
-    kostka_memo: dict[tuple[int, ...], int] = {}
-    lhs: dict[tuple, int] = {}
-    rhs: dict[tuple, int] = {}
-    for rho, members in conjugacy_classes(n).items():
-        acc_l = acc_r = 0
-        for w in members:
-            key = tuple(sorted(map(getitem, columns, w)))  # the content of w, sorted
-            if key[0] < 0:  # a zero matrix entry on the diagonal of w
-                kval = 0
-            else:
-                kval = kostka_memo.get(key)
-                if kval is None:
-                    kval = kostka(theta, key)
-                    kostka_memo[key] = kval
-            sval = sum(mult for h, mult in decomp.summands if h.admits(w))
-            if kval != sval:
-                report.failures.append(
-                    {
-                        "shape": _shape_desc(shape),
-                        "theta": list(theta),
-                        "w": list(w),
-                        "kostka": kval,
-                        "indicator_sum": sval,
-                    }
-                )
-            acc_l += kval
-            acc_r += sval
-        lhs[rho] = zee(rho) * acc_l
-        rhs[rho] = zee(rho) * acc_r
-    if lhs != rhs:
-        report.failures.append(
-            {
-                "shape": _shape_desc(shape),
-                "theta": list(theta),
-                "error": "class functions differ",
-                "lhs": {str(list(r)): v for r, v in lhs.items()},
-                "rhs": {str(list(r)): v for r, v in rhs.items()},
-            }
-        )
-    report.instances += 1
+    classes = [
+        (rho, zee(rho), [(w, tuple(sorted(map(getitem, columns, w)))) for w in members])
+        for rho, members in conjugacy_classes(n).items()
+    ]
+    contents = {key for _, _, members in classes for _, key in members}
+    report = CheckReport("hook-expansion")
+    for theta in thetas:
+        where = {"shape": shape.to_json(), "theta": list(theta)}
+        k = hook_leg(theta)
+        decomp = hook_decomposition(theta, shape)
+        base = decomp.base.values
+        # Sandwich invariant: every summand sits between h-1 and h pointwise.
+        for h, _ in decomp.summands:
+            if not all(b - 1 <= v <= b for v, b in zip(h.values, base)):
+                report.failures.append({**where, "bad_summand": list(h.values)})
+        total = decomp.total_multiplicity
+        if total != (math.comb(n - 1, k) if k <= n - 1 else 0):
+            report.failures.append(
+                {**where, "error": f"expected binom({n - 1},{k}) summands, got {total}"}
+            )
+        for h, _ in decomp.summands:
+            try:
+                collected_coefficient(decomp, h)
+            except AssertionError as exc:
+                report.failures.append({**where, "error": str(exc)})
+
+        # A negative subscript is a zero matrix entry on the diagonal of w.
+        kostka_of = {key: kostka(theta, key) if key[0] >= 0 else 0 for key in contents}
+        lhs: dict[tuple, int] = {}
+        rhs: dict[tuple, int] = {}
+        for rho, z, members in classes:
+            acc_l = acc_r = 0
+            for w, key in members:
+                kval = kostka_of[key]
+                sval = sum(mult for h, mult in decomp.summands if h.admits(w))
+                if kval != sval:
+                    report.failures.append(
+                        {**where, "w": list(w), "kostka": kval, "indicator_sum": sval}
+                    )
+                acc_l += kval
+                acc_r += sval
+            lhs[rho] = z * acc_l
+            rhs[rho] = z * acc_r
+        if lhs != rhs:
+            report.failures.append(
+                {
+                    **where,
+                    "error": "class functions differ",
+                    "lhs": {str(list(r)): v for r, v in lhs.items()},
+                    "rhs": {str(list(r)): v for r, v in rhs.items()},
+                }
+            )
+        report.instances += 1
     return report
 
 
-def _hook_worker(task: tuple[tuple, SkewShape]) -> CheckReport:
-    theta, shape = task
-    return verify_hook_decomposition(theta, shape)
-
-
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("IMMANANT_THREADS", "1")))
-    except ValueError:
-        return 1
+def verify_hook_decomposition(theta, shape: SkewShape) -> CheckReport:
+    """Check the hook expansion at one theta; the one-theta case of `verify_hook_decompositions`."""
+    return verify_hook_decompositions(shape, (theta,))
 
 
 def suite_hook(max_n: int = 5, max_size: int = 9) -> CheckReport:
     """Hook expansion over every connected shape and hook within bounds."""
     report = CheckReport("hook-expansion")
-    tasks = []
     for n in range(1, max_n + 1):
         for size in range(n, max_size + 1):
             for shape in connected_skew_shapes(n, size):
-                for k in range(0, min(n - 1, size - 1) + 1):
-                    tasks.append((hook_partition(size, k), shape))
-    threads = _thread_cap()
-    if threads > 1 and len(tasks) > 8:
-        with Pool(threads) as pool:
-            results = pool.map(_hook_worker, tasks, chunksize=16)
-    else:
-        results = [_hook_worker(t) for t in tasks]
-    for r in results:
-        report.merge(r)
+                hooks = [hook_partition(size, k) for k in range(0, min(n - 1, size - 1) + 1)]
+                report.merge(verify_hook_decompositions(shape, hooks))
     return report
 
 
@@ -230,7 +195,7 @@ def verify_empty_row_removal(shape: SkewShape, thetas=None) -> CheckReport:
                 "empty-row-removal",
                 gamma,
                 by_padded[theta],
-                {"shape": _shape_desc(shape), "theta": list(theta)},
+                {"shape": shape.to_json(), "theta": list(theta)},
             )
         )
     return report
@@ -249,7 +214,7 @@ def verify_component_reorder(a: SkewShape, b: SkewShape, thetas=None) -> CheckRe
                 "component-reorder",
                 gamma,
                 by_b[theta],
-                {"shapes": [_shape_desc(a), _shape_desc(b)], "theta": list(theta)},
+                {"shapes": [a.to_json(), b.to_json()], "theta": list(theta)},
             )
         )
     return report
@@ -264,7 +229,7 @@ def verify_disconnected_product(shape: SkewShape, thetas=None) -> CheckReport:
                 "disconnected-product",
                 gamma,
                 immanant_character_from_components(theta, shape),
-                {"shape": _shape_desc(shape), "theta": list(theta)},
+                {"shape": shape.to_json(), "theta": list(theta)},
             )
         )
     return report
@@ -281,7 +246,7 @@ def verify_stanley_stembridge_product(shape: SkewShape) -> CheckReport:
         prod = induction_product(prod, stanley_stembridge_character(hessenberg_from_skew(comp)))
     direct = immanant_character((shape.size,), shape)
     if direct != prod:
-        report.failures.append({"shape": _shape_desc(shape)})
+        report.failures.append({"shape": shape.to_json()})
     return report
 
 
@@ -297,7 +262,7 @@ def verify_induction_stability(shape: SkewShape, thetas=None) -> CheckReport:
                 "induction-stability",
                 gamma,
                 induce_up(by_shape[theta]),
-                {"shape": _shape_desc(shape), "theta": list(theta)},
+                {"shape": shape.to_json(), "theta": list(theta)},
             )
         )
     return report
@@ -370,7 +335,7 @@ def suite_immanant(max_n: int = 4, max_size: int = 8, seed: int = 24061859) -> C
         report.instances += 1
         det = convert(immanant(sign_character(n), shape), "s")
         if det.coeffs != skew_schur(shape).coeffs:
-            report.failures.append({"shape": _shape_desc(shape), "check": "determinant"})
+            report.failures.append({"shape": shape.to_json(), "check": "determinant"})
         gammas = immanant_characters(shape)
         for _ in range(5):
             phi = ClassFunction(
@@ -382,7 +347,7 @@ def suite_immanant(max_n: int = 4, max_size: int = 8, seed: int = 24061859) -> C
                 if inner_product(gamma, phi) != expansion.coeffs.get(theta, 0):
                     report.failures.append(
                         {
-                            "shape": _shape_desc(shape),
+                            "shape": shape.to_json(),
                             "theta": list(theta),
                             "phi": phi.to_json(),
                         }
@@ -465,7 +430,7 @@ def suite_positivity(max_n: int = 5, max_size: int = 8) -> CheckReport:
             dec = h_positive_decomposition(gamma)
             if not (dec.is_integral and dec.is_nonnegative):
                 report.failures.append(
-                    {"shape": _shape_desc(shape), "theta": list(theta), "coeffs": dec.to_json()}
+                    {"shape": shape.to_json(), "theta": list(theta), "coeffs": dec.to_json()}
                 )
     return report
 

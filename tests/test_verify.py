@@ -1,8 +1,15 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from immanants import partitions_of, skew_shape
+from immanants import (
+    connected_skew_shapes,
+    hook_decomposition,
+    hook_partition,
+    partitions_of,
+    skew_shape,
+)
 from immanants.verify import (
     CheckReport,
     run_suites,
@@ -14,6 +21,7 @@ from immanants.verify import (
     verify_disconnected_product,
     verify_empty_row_removal,
     verify_hook_decomposition,
+    verify_hook_decompositions,
     verify_induction_stability,
 )
 
@@ -52,11 +60,38 @@ def test_run_suites_rejects_unknown_names():
     assert [r.name for r in reports] == ["hook-kostka", "character-duality"]
 
 
-def test_hook_suite_parallel_matches_serial(monkeypatch):
-    serial = suite_hook(3, 6)
-    monkeypatch.setenv("IMMANANT_THREADS", "2")
-    parallel = suite_hook(3, 6)
-    assert (serial.instances, serial.failures) == (parallel.instances, parallel.failures)
+def test_hook_suite_counts_every_shape_and_hook():
+    pairs = sum(
+        min(n - 1, size - 1) + 1
+        for n in range(1, 4)
+        for size in range(n, 7)
+        for _ in connected_skew_shapes(n, size)
+    )
+    report = suite_hook(3, 6)
+    assert report.ok and report.instances == pairs
+
+
+def test_per_shape_hook_check_blames_only_the_broken_theta(monkeypatch):
+    shape = skew_shape((3, 3, 3, 1), (1, 1))
+    hooks = [hook_partition(shape.size, k) for k in range(shape.rows)]
+    broken = hooks[1]
+
+    def drop_one_summand(theta, shape):
+        decomp = hook_decomposition(theta, shape)
+        if tuple(theta) == broken:
+            decomp = replace(decomp, summands=decomp.summands[1:])
+        return decomp
+
+    monkeypatch.setattr("immanants.verify.hook_decomposition", drop_one_summand)
+    report = verify_hook_decompositions(shape, hooks)
+    assert report.instances == len(hooks)
+    assert {tuple(f["theta"]) for f in report.failures} == {broken}
+    witnesses = [f for f in report.failures if "w" in f]
+    assert witnesses and all(f["kostka"] != f["indicator_sum"] for f in witnesses)
+    assert any(f.get("error") == "class functions differ" for f in report.failures)
+    one_at_a_time = [verify_hook_decomposition(theta, shape) for theta in hooks]
+    assert [r.ok for r in one_at_a_time] == [theta != broken for theta in hooks]
+    assert report.failures == [f for r in one_at_a_time for f in r.failures]
 
 
 def test_scan_records_structure_and_determinism():
