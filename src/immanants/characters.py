@@ -11,7 +11,6 @@ Kostka matrix, so everything stays in exact integer arithmetic).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -175,53 +174,23 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> Fraction:
     return Fraction(total, math.factorial(chi.n))
 
 
-def _part_multiplicities(rho: Partition) -> list[tuple[int, int]]:
-    mult: dict[int, int] = {}
-    for part in rho:
-        mult[part] = mult.get(part, 0) + 1
-    return sorted(mult.items())
-
-
-def _splits(rho: Partition, k: int):
-    """All ways to split the multiset rho into (alpha, beta) with |alpha|=k.
-
-    Yields (alpha, beta, weight) where weight counts the splits of labelled
-    cycles realizing the pair, i.e. the product of binomials over part sizes.
-    """
-    mults = _part_multiplicities(rho)
-
-    def rec(idx: int, remaining: int, alpha: list[int], weight: int):
-        if idx == len(mults):
-            if remaining == 0:
-                taken = Counter(alpha)
-                beta = [p for p, m in mults for _ in range(m - taken[p])]
-                yield (
-                    tuple(sorted(alpha, reverse=True)),
-                    tuple(sorted(beta, reverse=True)),
-                    weight,
-                )
-            return
-        part, m = mults[idx]
-        for take in range(m + 1):
-            if part * take > remaining:
-                break
-            alpha.extend([part] * take)
-            yield from rec(idx + 1, remaining - part * take, alpha, weight * math.comb(m, take))
-            del alpha[len(alpha) - take :]
-
-    yield from rec(0, k, [], 1)
-
-
 def induction_product(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
-    """Character induced from the outer product on S_k x S_r inside S_{k+r}."""
-    k, r = phi.n, psi.n
-    n = k + r
-    values = {}
-    for rho in partitions_of(n):
-        acc = 0
-        for alpha, beta, weight in _splits(rho, k):
-            acc += weight * phi.values[alpha] * psi.values[beta]
-        values[rho] = acc
+    """Character induced from the outer product on S_k x S_r inside S_{k+r}.
+
+    Under the Frobenius map this is the product of power sums: the pair of
+    cycle types (a, b) lands on rho = a + b, weighted by
+    zee(rho) / (zee(a) * zee(b)), the number of ways to share the labelled
+    cycles of rho between a and b.
+    """
+    n = phi.n + psi.n
+    values = dict.fromkeys(partitions_of(n), 0)
+    for a, x in phi.values.items():
+        if not x:
+            continue
+        for b, y in psi.values.items():
+            if y:
+                rho = tuple(sorted(a + b, reverse=True))
+                values[rho] += zee(rho) // (zee(a) * zee(b)) * x * y
     return ClassFunction(n, values)
 
 

@@ -157,8 +157,9 @@ def hook_decomposition(theta, shape: SkewShape) -> HookDecomposition:
     """Expand the immanant character of a hook theta over lowered Hessenberg functions.
 
     One summand per leg-sized subset of the first n-1 columns, collected
-    with multiplicities.  Requires a shape with no empty rows; callers
-    must strip empty rows first (see reductions.remove_empty_rows).
+    with multiplicities.  Requires a shape with at least one row and no
+    empty rows; callers must strip empty rows first (see
+    reductions.remove_empty_rows).
     """
     theta = check_partition(theta)
     k = hook_leg(theta)
@@ -169,6 +170,8 @@ def hook_decomposition(theta, shape: SkewShape) -> HookDecomposition:
     if shape.has_empty_rows:
         raise ValueError("shape has empty rows; remove them first (remove_empty_rows)")
     n = shape.rows
+    if n == 0:
+        raise ValueError("the hook expansion needs a shape with at least one row")
     base = hessenberg_from_skew(shape)
     if k > n - 1:
         warnings.warn(

@@ -9,7 +9,7 @@ Littlewood-Richardson coefficients.
 
 from __future__ import annotations
 
-from .characters import ClassFunction, induction_product, zero_character
+from .characters import ClassFunction, induction_product, trivial_character, zero_character
 from .immanant_characters import immanant_character
 from .tableaux import (
     SkewShape,
@@ -65,23 +65,13 @@ def components(shape: SkewShape) -> list[SkewShape]:
 
 
 def induce_up(chi: ClassFunction) -> ClassFunction:
-    """Induce from S_n to S_{n+1} using the closed class-size form.
+    """Induce from S_n to S_{n+1}: the induction product with the trivial character of S_1.
 
     The value at a cycle type is the number of fixed points times the
     value at the type with one fixed point removed; classes without
     fixed points meet the smaller group in nothing and get 0.
     """
-    n = chi.n + 1
-    values = {}
-    for rho in partitions_of(n):
-        fixed = sum(1 for p in rho if p == 1)
-        if fixed == 0:
-            values[rho] = 0
-            continue
-        shrunk = list(rho)
-        shrunk.remove(1)
-        values[rho] = fixed * chi.values[tuple(shrunk)]
-    return ClassFunction(n, values)
+    return induction_product(chi, trivial_character(1))
 
 
 def induce_to(chi: ClassFunction, n: int) -> ClassFunction:

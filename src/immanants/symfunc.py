@@ -1,7 +1,8 @@
 """Exact expansions of homogeneous symmetric functions in the m/h/s/p bases.
 
-Conversions route through the Schur basis: the Kostka matrix handles
-m/h/s, and the irreducible character table handles the power-sum basis.
+Conversions route through the Schur basis, with one transition matrix
+per basis and direction: the Kostka matrix and its inverse for m and h,
+and the irreducible character table for the power-sum basis.
 Products are taken in the power-sum basis, where multiplication is
 concatenation of indices.  Coefficients are exact: integers in the m, h
 and s bases, rationals in the p basis.
@@ -111,62 +112,39 @@ def _require_integral(f: SymFunc) -> SymFunc:
     return f
 
 
-def _to_schur(f: SymFunc) -> SymFunc:
-    n = f.degree
-    if f.basis == "s":
-        return f
-    out: dict[Partition, "int | Fraction"] = {}
-    if f.basis == "h":
-        km = kostka_matrix(n)
-        for lam, c in f.coeffs.items():
-            for theta in partitions_of(n):
-                k = km[theta][lam]
-                if k:
-                    out[theta] = out.get(theta, 0) + c * k
-    elif f.basis == "m":
-        inv = inverse_kostka_matrix(n)
-        for lam, c in f.coeffs.items():
-            row = inv[lam]
-            for theta, k in row.items():
-                if k:
-                    out[theta] = out.get(theta, 0) + c * k
-    elif f.basis == "p":
-        table = character_table(n)
-        for rho, c in f.coeffs.items():
-            for lam, chi in table.items():
-                v = chi.values[rho]
-                if v:
-                    out[lam] = out.get(lam, 0) + c * v
-    return sym_func("s", n, out)
+def _transpose(matrix: dict) -> dict:
+    """Transpose a square matrix whose rows and columns share one index set."""
+    return {col: {row: matrix[row][col] for row in matrix} for col in matrix}
 
 
-def _from_schur(f: SymFunc, basis: str) -> SymFunc:
-    n = f.degree
-    if basis == "s":
-        return f
-    out: dict[Partition, "int | Fraction"] = {}
+def _transition(basis: str, n: int, to_schur: bool) -> dict:
+    """Change of basis between `basis` and the Schur basis in degree n.
+
+    Row lam holds the expansion of the lam-th function of the source basis
+    in the target basis: h_lam = sum K[theta][lam] s_theta,
+    m_lam = sum Kinv[lam][theta] s_theta, p_rho = sum chi^lam(rho) s_lam,
+    and s_lam = sum chi^lam(rho) / zee(rho) p_rho.
+    """
+    if basis == "h":
+        return _transpose(kostka_matrix(n) if to_schur else inverse_kostka_matrix(n))
     if basis == "m":
-        km = kostka_matrix(n)
-        for theta, c in f.coeffs.items():
-            for lam, k in km[theta].items():
-                if k:
-                    out[lam] = out.get(lam, 0) + c * k
-    elif basis == "h":
-        inv = inverse_kostka_matrix(n)
-        for theta, c in f.coeffs.items():
-            for lam in partitions_of(n):
-                k = inv[lam][theta]
-                if k:
-                    out[lam] = out.get(lam, 0) + c * k
-    elif basis == "p":
-        table = character_table(n)
-        for lam, c in f.coeffs.items():
-            chi = table[lam]
-            for rho in partitions_of(n):
-                v = chi.values[rho]
-                if v:
-                    out[rho] = out.get(rho, 0) + Fraction(c * v, zee(rho))
-    return sym_func(basis, n, out)
+        return inverse_kostka_matrix(n) if to_schur else kostka_matrix(n)
+    table = character_table(n)
+    if to_schur:
+        return _transpose({lam: chi.values for lam, chi in table.items()})
+    return {
+        lam: {rho: Fraction(v, zee(rho)) for rho, v in chi.values.items()}
+        for lam, chi in table.items()
+    }
+
+
+def _apply(matrix: dict, coeffs: dict) -> dict:
+    out: dict[Partition, "int | Fraction"] = {}
+    for lam, c in coeffs.items():
+        for theta, k in matrix[lam].items():
+            if k:
+                out[theta] = out.get(theta, 0) + c * k
+    return out
 
 
 def convert(f: SymFunc, basis: str) -> SymFunc:
@@ -176,7 +154,12 @@ def convert(f: SymFunc, basis: str) -> SymFunc:
     _check_degree(f.degree)
     if basis == f.basis:
         return f
-    out = _from_schur(_to_schur(f), basis)
+    coeffs = f.coeffs
+    if f.basis != "s":
+        coeffs = _apply(_transition(f.basis, f.degree, to_schur=True), coeffs)
+    if basis != "s":
+        coeffs = _apply(_transition(basis, f.degree, to_schur=False), coeffs)
+    out = sym_func(basis, f.degree, coeffs)
     if basis in ("m", "h", "s") and f.basis in ("m", "h", "s"):
         _require_integral(out)
     return out

@@ -157,14 +157,23 @@ def verify_hook_decomposition(theta, shape: SkewShape) -> CheckReport:
     return verify_hook_decompositions(shape, (theta,))
 
 
+def _bounded_connected_shapes(max_n: int, max_size: int):
+    """Connected shapes with 1 to max_n rows and at most max_size boxes."""
+    for n in range(1, max_n + 1):
+        for size in range(n, max_size + 1):
+            yield from connected_skew_shapes(n, size)
+
+
+def _shape_hooks(shape: SkewShape) -> list:
+    """Hooks of the shape's size with leg at most rows - 1, leg 0 first."""
+    return [hook_partition(shape.size, k) for k in range(min(shape.rows, shape.size))]
+
+
 def suite_hook(max_n: int = 5, max_size: int = 9) -> CheckReport:
     """Hook expansion over every connected shape and hook within bounds."""
     report = CheckReport("hook-expansion")
-    for n in range(1, max_n + 1):
-        for size in range(n, max_size + 1):
-            for shape in connected_skew_shapes(n, size):
-                hooks = [hook_partition(size, k) for k in range(0, min(n - 1, size - 1) + 1)]
-                report.merge(verify_hook_decompositions(shape, hooks))
+    for shape in _bounded_connected_shapes(max_n, max_size):
+        report.merge(verify_hook_decompositions(shape, _shape_hooks(shape)))
     return report
 
 
@@ -182,57 +191,43 @@ def verify_character_equality(
     return report
 
 
+def _agree(name: str, context: dict, gammas: dict, other) -> CheckReport:
+    """Check that each theta's character in gammas equals other(theta)."""
+    report = CheckReport(name)
+    for theta, gamma in gammas.items():
+        where = {**context, "theta": list(theta)}
+        report.merge(verify_character_equality(name, gamma, other(theta), where))
+    return report
+
+
 def verify_empty_row_removal(shape: SkewShape, thetas=None) -> CheckReport:
     """Dropping empty rows leaves the immanant character unchanged."""
-    report = CheckReport("empty-row-removal")
     reduced = remove_empty_rows(shape)
     padded = skew_shape(reduced.outer, reduced.inner, shape.rows)
-    thetas = thetas or None
-    by_padded = immanant_characters(padded, thetas)
-    for theta, gamma in immanant_characters(shape, thetas).items():
-        report.merge(
-            verify_character_equality(
-                "empty-row-removal",
-                gamma,
-                by_padded[theta],
-                {"shape": shape.to_json(), "theta": list(theta)},
-            )
-        )
-    return report
+    by_padded = immanant_characters(padded, thetas or None)
+    gammas = immanant_characters(shape, thetas or None)
+    return _agree("empty-row-removal", {"shape": shape.to_json()}, gammas, by_padded.__getitem__)
 
 
 def verify_component_reorder(a: SkewShape, b: SkewShape, thetas=None) -> CheckReport:
     """Shapes with identical components have identical immanant characters."""
     if a.rows != b.rows or a.size != b.size:
         raise ValueError("shapes must share the same row count and size")
-    report = CheckReport("component-reorder")
-    thetas = thetas or None
-    by_b = immanant_characters(b, thetas)
-    for theta, gamma in immanant_characters(a, thetas).items():
-        report.merge(
-            verify_character_equality(
-                "component-reorder",
-                gamma,
-                by_b[theta],
-                {"shapes": [a.to_json(), b.to_json()], "theta": list(theta)},
-            )
-        )
-    return report
+    by_b = immanant_characters(b, thetas or None)
+    gammas = immanant_characters(a, thetas or None)
+    return _agree(
+        "component-reorder", {"shapes": [a.to_json(), b.to_json()]}, gammas, by_b.__getitem__
+    )
 
 
 def verify_disconnected_product(shape: SkewShape, thetas=None) -> CheckReport:
     """The component product formula agrees with the direct computation."""
-    report = CheckReport("disconnected-product")
-    for theta, gamma in immanant_characters(shape, thetas or None).items():
-        report.merge(
-            verify_character_equality(
-                "disconnected-product",
-                gamma,
-                immanant_character_from_components(theta, shape),
-                {"shape": shape.to_json(), "theta": list(theta)},
-            )
-        )
-    return report
+    return _agree(
+        "disconnected-product",
+        {"shape": shape.to_json()},
+        immanant_characters(shape, thetas or None),
+        lambda theta: immanant_character_from_components(theta, shape),
+    )
 
 
 def verify_stanley_stembridge_product(shape: SkewShape) -> CheckReport:
@@ -252,20 +247,14 @@ def verify_stanley_stembridge_product(shape: SkewShape) -> CheckReport:
 
 def verify_induction_stability(shape: SkewShape, thetas=None) -> CheckReport:
     """Adding one empty row means inducing up one letter."""
-    report = CheckReport("induction-stability")
     bigger = skew_shape(shape.outer, shape.inner, shape.rows + 1)
-    thetas = thetas or None
-    by_shape = immanant_characters(shape, thetas)
-    for theta, gamma in immanant_characters(bigger, thetas).items():
-        report.merge(
-            verify_character_equality(
-                "induction-stability",
-                gamma,
-                induce_up(by_shape[theta]),
-                {"shape": shape.to_json(), "theta": list(theta)},
-            )
-        )
-    return report
+    by_shape = immanant_characters(shape, thetas or None)
+    return _agree(
+        "induction-stability",
+        {"shape": shape.to_json()},
+        immanant_characters(bigger, thetas or None),
+        lambda theta: induce_up(by_shape[theta]),
+    )
 
 
 def suite_kostka(max_n: int = 5, max_size: int = 8) -> CheckReport:
@@ -416,16 +405,13 @@ def preabelian_example_shapes() -> list[SkewShape]:
 def suite_positivity(max_n: int = 5, max_size: int = 8) -> CheckReport:
     """Induced-trivial positivity on the pre-abelian and small-excess families."""
     report = CheckReport("hook-positivity")
-    targets: list[SkewShape] = list(preabelian_example_shapes())
-    for n in range(1, max_n + 1):
-        for size in range(n, max_size + 1):
-            for shape in connected_skew_shapes(n, size):
-                if is_dahlberg_small(hessenberg_from_skew(shape)):
-                    targets.append(shape)
+    targets = preabelian_example_shapes() + [
+        shape
+        for shape in _bounded_connected_shapes(max_n, max_size)
+        if is_dahlberg_small(hessenberg_from_skew(shape))
+    ]
     for shape in targets:
-        n, size = shape.rows, shape.size
-        hooks = [hook_partition(size, k) for k in range(0, min(n - 1, size - 1) + 1)]
-        for theta, gamma in immanant_characters(shape, hooks).items():
+        for theta, gamma in immanant_characters(shape, _shape_hooks(shape)).items():
             report.instances += 1
             dec = h_positive_decomposition(gamma)
             if not (dec.is_integral and dec.is_nonnegative):
@@ -461,28 +447,26 @@ def scan_records(max_n: int, max_size: int):
     character; hooks additionally carry their proven expansion.  The
     records report evidence only and assert nothing about open cases.
     """
-    for n in range(1, max_n + 1):
-        for size in range(n, max_size + 1):
-            for shape in connected_skew_shapes(n, size):
-                h = hessenberg_from_skew(shape)
-                mu, nu = shape.padded()
-                identity_content = tuple(m - v for m, v in zip(mu, nu))
-                for theta, gamma in immanant_characters(shape).items():
-                    dec = h_positive_decomposition(gamma)
-                    record = {
-                        "shape": shape.to_json(),
-                        "theta": list(theta),
-                        "hook": is_hook(theta),
-                        "h": list(h.values),
-                        "identity_kostka": kostka(theta, identity_content),
-                        "eta_expansion": dec.to_json(),
-                        "h_positive": dec.is_integral and dec.is_nonnegative,
-                    }
-                    if record["hook"]:
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("ignore")  # oversized legs yield empty sums
-                            decomp = hook_decomposition(theta, shape)
-                        record["summands"] = [
-                            {"h": list(hj.values), "mult": m} for hj, m in decomp.summands
-                        ]
-                    yield record
+    for shape in _bounded_connected_shapes(max_n, max_size):
+        h = hessenberg_from_skew(shape)
+        mu, nu = shape.padded()
+        identity_content = tuple(m - v for m, v in zip(mu, nu))
+        for theta, gamma in immanant_characters(shape).items():
+            dec = h_positive_decomposition(gamma)
+            record = {
+                "shape": shape.to_json(),
+                "theta": list(theta),
+                "hook": is_hook(theta),
+                "h": list(h.values),
+                "identity_kostka": kostka(theta, identity_content),
+                "eta_expansion": dec.to_json(),
+                "h_positive": dec.is_integral and dec.is_nonnegative,
+            }
+            if record["hook"]:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # oversized legs yield empty sums
+                    decomp = hook_decomposition(theta, shape)
+                record["summands"] = [
+                    {"h": list(hj.values), "mult": m} for hj, m in decomp.summands
+                ]
+            yield record

@@ -160,6 +160,12 @@ def test_scan_streams_json_lines(capsys):
     assert all("eta_expansion" in r for r in lines)
 
 
+def test_decompose_refuses_the_empty_shape(capsys):
+    code, out, err = run_cli(capsys, "decompose", "--outer", "-", "--theta", "-")
+    assert code == 1 and out == ""
+    assert "at least one row" in err
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and "immanants" in out
@@ -197,3 +203,21 @@ def test_sweep_stdout_is_byte_identical(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
+
+# Digests of `immanant` stdout in every basis, recorded before the change of
+# basis was reduced to one transition matrix per basis and direction.
+IMMANANT_SHA256 = {
+    "m": "3f6926fcfb826f056909afa8a139b945f63285f52af3a94eb84c28cebd0205c6",
+    "h": "655866f4e8b964c5c4ad5e4f02c51cf7a147a4cca02c1f021b2e3f4764e9c2f5",
+    "s": "3a49b80e609774c69b745e2413a0b086e75427b4e6c528305f47e58b51e8bfe0",
+    "p": "130576bbd6caf7d84888190de96da6b7905e1515173a0e78d88d95671bd321bc",
+}
+
+
+def test_immanant_stdout_in_every_basis_is_byte_identical(capsys):
+    for basis, want in IMMANANT_SHA256.items():
+        code, out, _ = run_cli(capsys, "immanant", "--outer", "3,3,2,2,1,1", "--inner", "1",
+                               "--char", "irr:3,2,1", "--basis", basis)
+        assert code == 0, basis
+        assert hashlib.sha256(out.encode()).hexdigest() == want, basis

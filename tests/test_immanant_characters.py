@@ -215,6 +215,11 @@ def test_hook_decomposition_oversized_leg_warns_and_is_zero():
     assert all(v == 0 for v in zero.values.values())
 
 
+def test_hook_decomposition_refuses_the_empty_shape():
+    with pytest.raises(ValueError, match="at least one row"):
+        hook_decomposition((), skew_shape(()))
+
+
 def test_hook_decomposition_requires_hook():
     with pytest.raises(ValueError):
         hook_decomposition((2, 2), skew_shape((3, 1)))

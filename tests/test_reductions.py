@@ -1,9 +1,11 @@
 import math
+import random
 from itertools import permutations
 
 import pytest
 
 from immanants import (
+    ClassFunction,
     components,
     content_vector,
     convert,
@@ -40,15 +42,36 @@ def invert(w):
     return tuple(out)
 
 
-def induced_value_oracle(chi, w):
-    """Induced character by the averaging definition over the big group."""
-    n = len(w)
+def young_induced_value_oracle(phi, psi, w):
+    """Character induced from phi x psi on S_k x S_r, by averaging over S_{k+r}."""
+    k, n = phi.n, len(w)
     total = 0
     for x in permutations(range(1, n + 1)):
         v = compose(compose(x, w), invert(x))
-        if v[-1] == n:  # lands in the subgroup fixing the last letter
-            total += chi.values[cycle_type(v[:-1])]
-    return total // math.factorial(n - 1)
+        if all(t <= k for t in v[:k]):  # lands in the Young subgroup S_k x S_r
+            top = cycle_type(v[:k])
+            bottom = cycle_type(tuple(t - k for t in v[k:]))
+            total += phi.values[top] * psi.values[bottom]
+    return total // (math.factorial(k) * math.factorial(n - k))
+
+
+def induced_value_oracle(chi, w):
+    """Induced character from the subgroup fixing the last letter."""
+    return young_induced_value_oracle(chi, trivial_character(1), w)
+
+
+def class_representative(rho):
+    """A permutation in one-line notation whose cycles have lengths rho."""
+    w, start = [], 1
+    for part in rho:
+        w.extend(range(start + 1, start + part))
+        w.append(start)
+        start += part
+    return tuple(w)
+
+
+def random_class_function(rng, n):
+    return ClassFunction(n, {rho: rng.randint(-5, 5) for rho in partitions_of(n)})
 
 
 # ------------------------------------------------------------- empty rows
@@ -128,6 +151,29 @@ def test_induce_up_frobenius_consistency():
     lhs = frobenius(induce_up(chi))
     rhs = multiply(frobenius(chi), homogeneous((1,)))
     assert convert(lhs, "h").coeffs == convert(rhs, "h").coeffs
+
+
+def test_induction_product_matches_young_subgroup_oracle():
+    rng = random.Random(20231018)
+    for n in range(2, 7):
+        for k in range(1, n):
+            phi, psi = random_class_function(rng, k), random_class_function(rng, n - k)
+            got = induction_product(phi, psi)
+            assert got.n == n
+            for rho in partitions_of(n):
+                w = class_representative(rho)
+                assert cycle_type(w) == rho
+                assert got.values[rho] == young_induced_value_oracle(phi, psi, w), (k, rho)
+
+
+def test_induce_up_matches_averaging_oracle_through_s6():
+    rng = random.Random(1859)
+    for n in range(0, 6):
+        chi = random_class_function(rng, n)
+        lifted = induce_up(chi)
+        assert lifted.n == n + 1
+        for rho in partitions_of(n + 1):
+            assert lifted.values[rho] == induced_value_oracle(chi, class_representative(rho))
 
 
 def test_induce_to_runs_multiple_steps():

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import pytest
 
+import immanants.verify
 from immanants import (
+    ClassFunction,
     connected_skew_shapes,
     hook_decomposition,
     hook_partition,
@@ -92,6 +94,33 @@ def test_per_shape_hook_check_blames_only_the_broken_theta(monkeypatch):
     one_at_a_time = [verify_hook_decomposition(theta, shape) for theta in hooks]
     assert [r.ok for r in one_at_a_time] == [theta != broken for theta in hooks]
     assert report.failures == [f for r in one_at_a_time for f in r.failures]
+
+
+def test_induction_stability_reports_each_theta_it_breaks(monkeypatch):
+    real_induce_up = immanants.verify.induce_up
+
+    def off_by_one_at_identity(chi):
+        up = real_induce_up(chi)
+        identity = (1,) * up.n
+        return ClassFunction(up.n, {**up.values, identity: up.values[identity] + 1})
+
+    monkeypatch.setattr("immanants.verify.induce_up", off_by_one_at_identity)
+    shape = skew_shape((3, 2), (1,))
+    thetas = partitions_of(shape.size)
+    report = verify_induction_stability(shape)
+    assert report.name == "induction-stability"
+    assert report.instances == len(thetas)
+    assert [tuple(f["theta"]) for f in report.failures] == list(thetas)
+    for failure in report.failures:
+        assert set(failure) == {"shape", "theta", "differs_at"}
+        assert failure["shape"] == shape.to_json()
+        [(where, (direct, induced))] = failure["differs_at"].items()
+        assert where == "[1, 1, 1]" and induced == direct + 1
+
+
+def test_hook_check_refuses_the_empty_shape():
+    with pytest.raises(ValueError, match="at least one row"):
+        verify_hook_decomposition((), skew_shape(()))
 
 
 def test_scan_records_structure_and_determinism():
