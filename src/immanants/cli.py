@@ -27,7 +27,7 @@ from .immanant_characters import (
     is_preabelian,
 )
 from .jacobitrudi import hess_prime, hessenberg_from_skew, immanant, jt_matrix, NotHessenbergError
-from .symfunc import convert
+from .symfunc import _check_degree, convert
 from .tableaux import SkewShape, check_partition, kostka, partitions_of, skew_shape
 from .verify import SUITES, run_suites, scan_records
 
@@ -131,6 +131,8 @@ def cmd_hessenberg(args) -> int:
 
 def cmd_immanant(args) -> int:
     shape = _shape_from_args(args)
+    if args.basis != "h":
+        _check_degree(shape.size)  # refuse before the walk, not after it
     chi = _parse_character(args.char, shape.rows)
     f = immanant(chi, shape)
     if args.basis != "h":

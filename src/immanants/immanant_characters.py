@@ -4,9 +4,11 @@ The immanant character of a shape at a partition theta is the class
 function whose inner product with any virtual character phi reads off
 the s_theta coefficient of the phi-immanant of the shape's Jacobi-Trudi
 matrix.  For theta = (N) it collapses to the Stanley-Stembridge
-character of the shape's Hessenberg function.  For hook thetas it
+character of the shape's Hessenberg function h.  For hook thetas it
 expands as an explicit non-negative sum of Stanley-Stembridge
-characters, built here by lowering Hessenberg values at the columns
+characters: each summand takes the ones-deleted pattern h' on a
+leg-sized subset of the first n-1 columns and h elsewhere.  Subscripts
+strictly decrease down a column, so h' = h - 1 exactly at the columns
 whose bottom nonzero entry is the constant 1.
 """
 
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .characters import ClassFunction, zee, zero_character
@@ -100,19 +101,6 @@ def stanley_stembridge_character(h: HessenbergFunction) -> ClassFunction:
     return ClassFunction(n, values)
 
 
-def _corners(shape: SkewShape, h: HessenbergFunction) -> tuple[int, ...]:
-    sub = jt_matrix(shape).sub
-    return tuple(sub[v - 1][j] for j, v in enumerate(h.values))
-
-
-def _lowered(values: tuple[int, ...], corners: tuple[int, ...], subset) -> tuple[int, ...]:
-    lowered = list(values)
-    for i in subset:
-        if corners[i - 1] == 0:
-            lowered[i - 1] -= 1
-    return tuple(lowered)
-
-
 @dataclass(frozen=True)
 class HookDecomposition:
     """Multiset of Hessenberg functions expanding a hook immanant character."""
@@ -122,11 +110,6 @@ class HookDecomposition:
     base: HessenbergFunction
     leg: int
     summands: tuple[tuple[HessenbergFunction, int], ...]
-
-    @cached_property
-    def corners(self) -> tuple[int, ...]:
-        """Subscript of each column's bottom nonzero entry (the h(i)-th row), computed once."""
-        return _corners(self.shape, self.base)
 
     @property
     def total_multiplicity(self) -> int:
@@ -156,10 +139,10 @@ class HookDecomposition:
 def hook_decomposition(theta, shape: SkewShape) -> HookDecomposition:
     """Expand the immanant character of a hook theta over lowered Hessenberg functions.
 
-    One summand per leg-sized subset of the first n-1 columns, collected
-    with multiplicities.  Requires a shape with at least one row and no
-    empty rows; callers must strip empty rows first (see
-    reductions.remove_empty_rows).
+    One summand per leg-sized subset S of the first n-1 columns: h' on S
+    and h elsewhere, collected with multiplicities in first-seen order.
+    Requires a shape with at least one row and no empty rows; callers
+    must strip empty rows first (see reductions.remove_empty_rows).
     """
     theta = check_partition(theta)
     k = hook_leg(theta)
@@ -179,10 +162,13 @@ def hook_decomposition(theta, shape: SkewShape) -> HookDecomposition:
             stacklevel=2,
         )
         return HookDecomposition(theta, shape, base, k, ())
-    corners = _corners(shape, base)
+    prime = hess_prime(shape).values  # no empty row, so h'(j) >= j and this cannot raise
     collected: dict[tuple[int, ...], int] = {}  # first-seen order
-    for subset in combinations(range(1, n), k):
-        values = _lowered(base.values, corners, subset)
+    for subset in combinations(range(n - 1), k):
+        values = list(base.values)
+        for j in subset:
+            values[j] = prime[j]
+        values = tuple(values)
         collected[values] = collected.get(values, 0) + 1
     summands = tuple((hessenberg(v), m) for v, m in collected.items())
     return HookDecomposition(theta, shape, base, k, summands)
@@ -191,17 +177,14 @@ def hook_decomposition(theta, shape: SkewShape) -> HookDecomposition:
 def collected_coefficient(decomp: HookDecomposition, h: HessenbergFunction) -> int:
     """Closed-form multiplicity binom(a, b) of a collected summand.
 
-    a counts the first n-1 columns whose bottom nonzero entry has positive
-    subscript; b is the leg minus the number of lowered values.  Checked
-    against the enumerated multiplicity.
+    Of the first n-1 columns, a counts those where h' = h (nothing to
+    lower), and b is the leg minus the number where the summand is
+    lowered.  Checked against the enumerated multiplicity.
     """
     enumerated = decomp.multiplicity(h)  # KeyError if not a summand
-    d = decomp.corners
-    n = decomp.shape.rows
-    a = sum(1 for i in range(1, n) if d[i - 1] > 0)
-    b = decomp.leg - sum(
-        1 for i in range(1, n) if decomp.base.values[i - 1] != h.values[i - 1]
-    )
+    base = decomp.base.values[: decomp.shape.rows - 1]
+    a = sum(p == v for p, v in zip(hess_prime(decomp.shape).values, base))
+    b = decomp.leg - sum(g != v for g, v in zip(h.values, base))
     predicted = math.comb(a, b) if b >= 0 else 0
     if predicted != enumerated:
         raise AssertionError(

@@ -42,7 +42,6 @@ def cycle_type(w: Permutation) -> Partition:
     return tuple(sorted(lengths, reverse=True))
 
 
-@cache
 def symmetric_group(n: int) -> tuple[Permutation, ...]:
     return tuple(itertools.permutations(range(1, n + 1)))
 

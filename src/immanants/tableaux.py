@@ -262,11 +262,7 @@ def skew_kostka(shape: SkewShape, content: Iterable[int]) -> int:
 
 def lr_coefficient(theta: Iterable[int], lam: Iterable[int], sigma: Iterable[int]) -> int:
     """Littlewood-Richardson coefficient: lattice fillings of theta/lam with content sigma."""
-    return _lr_count(check_partition(theta), check_partition(lam), check_partition(sigma))
-
-
-@cache
-def _lr_count(t: Partition, l: Partition, s: Partition) -> int:
+    t, l, s = check_partition(theta), check_partition(lam), check_partition(sigma)
     if not contains(l, t) or sum(l) + sum(s) != sum(t):
         return 0
     if sum(t) - sum(l) == 0:

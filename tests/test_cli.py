@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 from immanants.cli import main
 from immanants.verify import CheckReport
@@ -221,3 +226,38 @@ def test_immanant_stdout_in_every_basis_is_byte_identical(capsys):
                                "--char", "irr:3,2,1", "--basis", basis)
         assert code == 0, basis
         assert hashlib.sha256(out.encode()).hexdigest() == want, basis
+
+
+def test_immanant_refuses_an_oversized_degree_before_the_walk(capsys):
+    # 13 full rows of 4: a walk over 13 rows would take minutes.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "immanant", "--outer", ",".join(["4"] * 13),
+                             "--char", "sgn", "--basis", "s")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "degree 52 exceeds the supported bound 12" in err
+
+
+def test_immanant_in_the_h_basis_has_no_degree_bound(capsys):
+    code, out, _ = run_cli(capsys, "immanant", "--outer", "7,6", "--char", "sgn")
+    assert code == 0
+    assert out == ('{"shape":{"outer":[7,6],"inner":[],"rows":2},"char":"sgn","basis":"h",'
+                   '"degree":13,"coeffs":{"[8,5]":-1,"[7,6]":1}}\n')
+
+
+def test_traced_cli_matches_the_plain_cli(tmp_path):
+    # The tracer rebinds library functions by name; a renamed or deleted one breaks it.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    argv = ["decompose", "--theta", "6,1,1", "--outer", "3,3,3,1", "--inner", "1,1"]
+    traced = subprocess.run(
+        [sys.executable, str(root / "bench" / "traced_cli.py"), str(tmp_path / "spans"), *argv],
+        capture_output=True, text=True, env=env, cwd=root,
+    )
+    plain = subprocess.run(
+        [sys.executable, "-m", "immanants.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=root,
+    )
+    assert traced.returncode == 0, traced.stderr
+    assert plain.returncode == 0 and traced.stdout == plain.stdout

@@ -1,15 +1,17 @@
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from immanants import (
     character_table,
     collected_coefficient,
+    connected_skew_shapes,
     content_vector,
     convert,
     h_positive_decomposition,
+    hess_prime,
     hessenberg,
     hessenberg_from_skew,
     hook_decomposition,
@@ -20,6 +22,7 @@ from immanants import (
     is_abelian,
     is_dahlberg_small,
     is_preabelian,
+    jt_matrix,
     kostka,
     partitions_of,
     skew_shape,
@@ -251,6 +254,42 @@ def test_pointwise_kostka_identity_small():
             lhs = kostka(theta, content_vector(shape, w))
             rhs = sum(m for h, m in dec.summands if h.admits(w))
             assert lhs == rhs, (theta, w)
+
+
+def corner_lowered_summands(shape, leg):
+    """Oracle: lower h(j) on each chosen column j < n whose bottom nonzero entry is 1.
+
+    Reads the subscript grid directly: the bottom nonzero entry of column j
+    sits in row h(j), and it is the constant 1 when its subscript is 0.
+    """
+    sub = jt_matrix(shape).sub
+    base = hessenberg_from_skew(shape).values
+    collected = {}  # first-seen order
+    for subset in combinations(range(shape.rows - 1), leg):
+        values = list(base)
+        for j in subset:
+            if sub[base[j] - 1][j] == 0:
+                values[j] -= 1
+        collected[tuple(values)] = collected.get(tuple(values), 0) + 1
+    return [(values, m) for values, m in collected.items()]
+
+
+def test_hook_decomposition_matches_corner_lowering_oracle():
+    pairs = 0
+    for n in range(1, 7):
+        for size in range(n, 11):
+            for shape in connected_skew_shapes(n, size):
+                base = hessenberg_from_skew(shape).values
+                prime = hess_prime(shape).values
+                assert all(b - p in (0, 1) for b, p in zip(base, prime)), shape
+                for leg in range(min(n, size)):
+                    dec = hook_decomposition(hook_partition(size, leg), shape)
+                    got = [(h.values, m) for h, m in dec.summands]
+                    assert got == corner_lowered_summands(shape, leg), (shape, leg)
+                    for h, m in dec.summands:
+                        assert collected_coefficient(dec, h) == m, (shape, leg, h)
+                    pairs += 1
+    assert pairs == 8965
 
 
 # ---------------------------------------------------------------- predicates
