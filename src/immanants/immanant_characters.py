@@ -36,6 +36,7 @@ from .tableaux import (
     _ssyt_count,
     check_partition,
     hook_leg,
+    is_hook,
     partitions_of,
 )
 
@@ -58,10 +59,13 @@ def content_vector(shape: SkewShape, w: Permutation) -> tuple[int, ...]:
 def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassFunction]:
     """Class function of the shape at each theta (default: every partition of its size).
 
-    zee(rho) * sum of N[rho][alpha] * K(theta, alpha), with N read off one
-    `cycle_cover_counts` walk shared by every theta: the content of w is the
-    subscript multiset along w^-1.  Each alpha is already a partition of the
-    shape's size, so K comes straight from the Pieri kernel.
+    zee(rho) * sum of N[rho][alpha] * K(theta, alpha), with N from one
+    `cycle_cover_counts` call shared by every theta: the content of w is the
+    subscript multiset along w^-1.  Each alpha is a partition of the shape's
+    size, so K comes straight from the Pieri kernel.  When every theta is a
+    hook (N-k, 1^k) and the shape has a box, K = C(l(alpha) - 1, k) needs
+    only the number of positive subscripts, so the count runs on the grid
+    clipped at 1, where alpha is (1,) * l.
     """
     if thetas is None:
         thetas = partitions_of(shape.size)
@@ -72,18 +76,27 @@ def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassF
                 raise ValueError(
                     f"theta has size {sum(theta)} but the shape has {shape.size} boxes"
                 )
-    counts = cycle_cover_counts(jt_matrix(shape).sub)
+    sub = jt_matrix(shape).sub
+    hooks = shape.size > 0 and all(map(is_hook, thetas))
+    if hooks:
+        sub = [[min(x, 1) for x in row] for row in sub]
+    counts = cycle_cover_counts(sub)
     classes = [(rho, zee(rho), counts.get(rho, {}).items()) for rho in partitions_of(shape.rows)]
-    return {
-        theta: ClassFunction(
-            shape.rows,
-            {
+    out = {}
+    for theta in thetas:
+        if hooks:  # by_length[l] = C(l - 1, leg) for the l <= n positive subscripts
+            by_length = [0] + [math.comb(l, len(theta) - 1) for l in range(shape.rows)]
+            values = {
+                rho: z * sum(c * by_length[len(alpha)] for alpha, c in by_alpha)
+                for rho, z, by_alpha in classes
+            }
+        else:
+            values = {
                 rho: z * sum(c * _ssyt_count(theta, (), alpha) for alpha, c in by_alpha)
                 for rho, z, by_alpha in classes
-            },
-        )
-        for theta in thetas
-    }
+            }
+        out[theta] = ClassFunction(shape.rows, values)
+    return out
 
 
 def immanant_character(theta, shape: SkewShape) -> ClassFunction:
@@ -93,9 +106,15 @@ def immanant_character(theta, shape: SkewShape) -> ClassFunction:
 
 
 def stanley_stembridge_character(h: HessenbergFunction) -> ClassFunction:
-    """Value at a class is zee * number of class members staying under h."""
+    """Value at a class is zee * number of class members staying under h.
+
+    Counted on h's pattern in a Jacobi-Trudi grid's orientation (row i,
+    column j present when i <= h(j)), the one `cycle_cover_counts` prunes
+    best.  That grid admits the inverses of the members, and inverting
+    keeps the cycle type.
+    """
     n = h.n
-    admissible = [[0 if j <= v else -1 for j in range(1, n + 1)] for v in h.values]
+    admissible = [[0 if i <= v else -1 for v in h.values] for i in range(1, n + 1)]
     counts = cycle_cover_counts(admissible)
     values = {rho: zee(rho) * sum(counts.get(rho, {}).values()) for rho in partitions_of(n)}
     return ClassFunction(n, values)

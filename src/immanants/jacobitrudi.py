@@ -4,7 +4,9 @@ The matrix of a skew shape is stored as its grid of subscripts
 ``sub[i][j] = outer_i - inner_j + j - i`` (1-based indices): subscript 0
 renders as the constant 1, negative subscripts as 0, and positive k as
 the degree-k complete homogeneous function.  Immanants then reduce to
-bookkeeping over multisets of subscripts.
+bookkeeping over multisets of subscripts, counted by cycle type over the
+permutations with no zero entry (`cycle_cover_counts`, a dynamic program
+over vertex sets rather than a pass over S_n).
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 from operator import le
 
 from .characters import ClassFunction
-from .permutations import Permutation, cycle_type
+# cycle_type is unused here; bench/traced_cli.py rebinds it on this module at start-up.
+from .permutations import Permutation, cycle_type  # noqa: F401
 from .symfunc import SymFunc, sym_func
 from .tableaux import Partition, SkewShape
 
@@ -136,33 +139,100 @@ def cycle_cover_counts(sub) -> dict[Partition, dict[Partition, int]]:
     """N[rho][alpha]: how many permutations w of cycle type rho, with every
     sub[r][w(r)] >= 0, have positive subscripts forming the multiset alpha.
 
-    The one enumeration of S_n behind every sum in the library: a walk that
-    places one column per row of the square grid `sub` and prunes any
-    branch that hits a negative subscript (a zero matrix entry).
+    The one count over S_n behind every sum in the library, a dynamic
+    program over vertex sets of the square grid `sub` (row r -> column c is
+    an edge unless sub[r][c] < 0).  Covers grow by the cycle through their
+    least uncovered vertex m, each cycle counted once as a path into m over
+    larger vertices, grown backwards from m.  On Jacobi-Trudi grids every
+    column's support is a prefix of rows, so backward paths climb slowly
+    and nearly all of them close.  Those paths are built just before the
+    covers missing m are extended, and dropped after.  A multiset travels
+    as an int holding one digit per value (cycle lengths below, subscripts
+    above), so merging is addition.
     """
     n = len(sub)
-    counts: dict[Partition, dict[Partition, int]] = {}
-    used = [False] * n
-    choice = [0] * n
-    picked = [0] * n
+    width = n.bit_length()  # a digit counts up to n
+    # Digit k - 1 counts cycles of length k, digit n - 1 + x subscripts x.
+    # into[c]: (row r, its bit, the code of subscript sub[r][c]) per edge r -> c.
+    into = [
+        [(r, 1 << r, x and 1 << width * (n - 1 + x)) for r, x in enumerate(column) if x >= 0]
+        for column in zip(*sub)
+    ]
+    layers = [{} for _ in range(n + 1)]  # layers[m]: covers whose least uncovered vertex is m
+    layers[0][0] = {0: 1}
+    for m in range(n):
+        covers = layers[m]
+        layers[m] = None
+        if covers:
+            cycles = _cycles_through(m, into, width)
+            for used, terms in covers.items():
+                for cycle_set, cycle in cycles.items():
+                    if not cycle_set & used:
+                        grown = used | cycle_set
+                        least = (~grown & (grown + 1)).bit_length() - 1
+                        target = layers[least].setdefault(grown, {})
+                        get = target.get
+                        for a, x in terms.items():
+                            for b, y in cycle.items():
+                                b += a
+                                target[b] = get(b, 0) + x * y
+    covers = layers[n].get((1 << n) - 1, {})
+    shift = width * n
+    low = (1 << shift) - 1
+    alphas: dict[int, Partition] = {}
+    by_rho: dict[int, dict[Partition, int]] = {}
+    while covers:  # popped as decoded, so the codes and the result are not both held
+        code, count = covers.popitem()
+        alpha = alphas.get(code >> shift)
+        if alpha is None:
+            alpha = alphas[code >> shift] = _multiset(code >> shift, width)
+        by_rho.setdefault(code & low, {})[alpha] = count
+    return {_multiset(rho, width): by_alpha for rho, by_alpha in by_rho.items()}
 
-    def place(i: int) -> None:
-        if i == n:
-            alpha = tuple(sorted((x for x in picked if x > 0), reverse=True))
-            by_alpha = counts.setdefault(cycle_type(tuple(choice)), {})
-            by_alpha[alpha] = by_alpha.get(alpha, 0) + 1
-            return
-        row = sub[i]
-        for j in range(n):
-            if not used[j] and row[j] >= 0:
-                used[j] = True
-                choice[i] = j + 1
-                picked[i] = row[j]
-                place(i + 1)
-                used[j] = False
 
-    place(0)
-    return counts
+def _cycles_through(m: int, into, width: int) -> dict[int, dict[int, int]]:
+    """{vertex set: {code: count}} of the cycles through m over vertices above m."""
+    below = (1 << m) - 1  # a path starts with every vertex up to m used
+    cycles: dict[int, dict[int, int]] = {}
+    paths = {(below | 1 << m, m): {0: 1}}  # (used, first vertex) -> paths into m
+    size = 1
+    while paths:
+        longer: dict[tuple[int, int], dict[int, int]] = {}
+        for (used, u), terms in paths.items():
+            for r, bit, e in into[u]:
+                if r == m:
+                    key = used ^ below
+                    e += 1 << width * (size - 1)  # one cycle of this length
+                    target = cycles.get(key)
+                    if target is None:
+                        target = cycles[key] = {}
+                elif used & bit:
+                    continue
+                else:
+                    key = (used | bit, r)
+                    target = longer.get(key)
+                    if target is None:
+                        target = longer[key] = {}
+                get = target.get
+                for code, count in terms.items():
+                    code += e
+                    target[code] = get(code, 0) + count
+        paths = longer
+        size += 1
+    return cycles
+
+
+def _multiset(code: int, width: int) -> Partition:
+    """The decreasing tuple with digit d of `code` (base 2**width) copies of d + 1."""
+    mask = (1 << width) - 1
+    out: list[int] = []
+    value = 1
+    while code:
+        out += [value] * (code & mask)
+        code >>= width
+        value += 1
+    out.reverse()
+    return tuple(out)
 
 
 def immanant(chi: ClassFunction, shape: SkewShape) -> SymFunc:

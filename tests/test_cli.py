@@ -250,14 +250,17 @@ def test_traced_cli_matches_the_plain_cli(tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    argv = ["decompose", "--theta", "6,1,1", "--outer", "3,3,3,1", "--inner", "1,1"]
-    traced = subprocess.run(
-        [sys.executable, str(root / "bench" / "traced_cli.py"), str(tmp_path / "spans"), *argv],
-        capture_output=True, text=True, env=env, cwd=root,
-    )
-    plain = subprocess.run(
-        [sys.executable, "-m", "immanants.cli", *argv],
-        capture_output=True, text=True, env=env, cwd=root,
-    )
-    assert traced.returncode == 0, traced.stderr
-    assert plain.returncode == 0 and traced.stdout == plain.stdout
+    for argv in (
+        ["decompose", "--theta", "6,1,1", "--outer", "3,3,3,1", "--inner", "1,1"],
+        ["gamma", "--outer", "2,2,2,2,2,2,2,2,1", "--inner", "1", "--theta", "15,1"],
+    ):
+        traced = subprocess.run(
+            [sys.executable, str(root / "bench" / "traced_cli.py"), str(tmp_path / "spans"), *argv],
+            capture_output=True, text=True, env=env, cwd=root,
+        )
+        plain = subprocess.run(
+            [sys.executable, "-m", "immanants.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=root,
+        )
+        assert traced.returncode == 0, traced.stderr
+        assert plain.returncode == 0 and traced.stdout == plain.stdout, argv

@@ -1,8 +1,10 @@
-"""The cycle-cover walk against brute-force sums over all of S_n.
+"""The cycle-cover counts against a row-by-row walk and brute-force sums over S_n.
 
 `immanant_characters` (and through it `immanant_character`),
-`stanley_stembridge_character` and `immanant` all read `cycle_cover_counts`;
-the oracles here enumerate `symmetric_group` instead.
+`stanley_stembridge_character` and `immanant` all read `cycle_cover_counts`,
+a dynamic program over vertex sets.  `cycle_cover_walk` counts the same
+table with one leaf per admissible permutation; the other oracles
+enumerate `symmetric_group`.
 """
 
 import importlib
@@ -11,6 +13,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immanants import (
     ClassFunction,
@@ -56,6 +60,34 @@ DISCONNECTED = [
     skew_shape((3, 3, 2, 1), (2, 2)),
 ]
 FAMILIES = {"connected": CONNECTED, "padded": PADDED, "disconnected": DISCONNECTED}
+
+
+def cycle_cover_walk(sub):
+    """N[rho][alpha] by a walk that places one column per row of the square
+    grid `sub` and prunes any branch that hits a negative subscript."""
+    n = len(sub)
+    counts = {}
+    used = [False] * n
+    choice = [0] * n
+    picked = [0] * n
+
+    def place(i):
+        if i == n:
+            alpha = tuple(sorted((x for x in picked if x > 0), reverse=True))
+            by_alpha = counts.setdefault(cycle_type(tuple(choice)), {})
+            by_alpha[alpha] = by_alpha.get(alpha, 0) + 1
+            return
+        row = sub[i]
+        for j in range(n):
+            if not used[j] and row[j] >= 0:
+                used[j] = True
+                choice[i] = j + 1
+                picked[i] = row[j]
+                place(i + 1)
+                used[j] = False
+
+    place(0)
+    return counts
 
 
 def oracle_immanant_character(shape):
@@ -107,6 +139,41 @@ def test_immanant_characters_match_class_sums(family):
         got = immanant_characters(shape)
         assert list(got) == list(partitions_of(shape.size)), shape
         assert got == oracle_immanant_character(shape), shape
+
+
+@pytest.mark.parametrize("family", ["connected", "padded", "disconnected"])
+def test_cycle_cover_counts_match_the_walk(family):
+    for shape in FAMILIES[family]:
+        sub = jt_matrix(shape).sub
+        clipped = [[min(x, 1) for x in row] for row in sub]
+        assert cycle_cover_counts(sub) == cycle_cover_walk(sub), shape
+        assert cycle_cover_counts(clipped) == cycle_cover_walk(clipped), shape
+    assert cycle_cover_counts(()) == cycle_cover_walk(()) == {(): {(): 1}}
+
+
+@st.composite
+def square_grids(draw):
+    n = draw(st.integers(0, 7))
+    entry = st.sampled_from((-1, 0, 1, 2, 3))
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(square_grids())
+def test_cycle_cover_counts_match_the_walk_on_any_support(sub):
+    # Not only Hessenberg supports: stanley_stembridge_character's 0/-1
+    # grids and clipped grids reach the kernel too.
+    assert cycle_cover_counts(sub) == cycle_cover_walk(sub)
+
+
+def test_immanant_characters_of_zero_box_shapes():
+    # theta = () is a hook, but C(l - 1, 0) is undefined at l = 0.
+    two = {(): {(2,): 0, (1, 1): 2}}
+    three = {(): {(3,): 0, (2, 1): 0, (1, 1, 1): 6}}
+    for shape, want in ((skew_shape((1,), (1,), 2), two), (skew_shape((), (), 3), three)):
+        for thetas in (None, [()]):
+            got = immanant_characters(shape, thetas)
+            assert {t: g.values for t, g in got.items()} == want, shape
 
 
 def test_immanant_characters_agree_with_one_theta_at_a_time():

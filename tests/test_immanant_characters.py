@@ -18,6 +18,7 @@ from immanants import (
     hook_partition,
     immanant,
     immanant_character,
+    immanant_characters,
     inner_product,
     is_abelian,
     is_dahlberg_small,
@@ -330,6 +331,26 @@ def test_two_row_abelian_character_is_h_positive():
     dec = h_positive_decomposition(g)
     assert dec.is_integral and dec.is_nonnegative
     assert dec.coefficient((2,)) == 2 and dec.coefficient((1, 1)) == 0
+
+
+# ------------------------------------------- the main theorem beyond brute force
+
+def test_hook_theorem_beyond_brute_force():
+    # 11-12 rows, where no sum over S_n reaches.  The immanant character runs
+    # the cover count on the Jacobi-Trudi grid clipped at 1; the summands run
+    # it on their 0/-1 grids, so the two sides are different computations.
+    for shape in (skew_shape((2,) * 12, (1,)), skew_shape((3,) * 11, (1,))):
+        theta = hook_partition(shape.size, 2)
+        decomp = hook_decomposition(theta, shape)
+        assert decomp.total_multiplicity == math.comb(shape.rows - 1, 2)
+        assert decomp.character() == immanant_character(theta, shape), shape
+    # On the full 12 x 12 shape every subscript is positive, so every one
+    # of the 12! permutations has l(alpha) = 12 and K = C(11, k).
+    full = skew_shape((12,) * 12)
+    legs = (0, 1, 2, 11)
+    gammas = immanant_characters(full, [hook_partition(144, k) for k in legs])
+    for k, gamma in zip(legs, gammas.values()):
+        assert set(gamma.values.values()) == {math.comb(11, k) * math.factorial(12)}, k
 
 
 # ---------------------------------------------------- degenerate conventions
