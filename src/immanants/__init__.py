@@ -7,6 +7,8 @@ hook-indexed immanant characters into Stanley-Stembridge characters,
 all in exact integer/rational arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .characters import (
     ClassFunction,
     HPositiveDecomposition,
@@ -86,4 +88,5 @@ from .verify import CheckReport, run_suites, scan_records
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Submodules stay reachable as immanants.<module> but are not star-exported.
+__all__ = [n for n, v in list(globals().items()) if n[0] != "_" and not isinstance(v, _ModuleType)]

@@ -123,7 +123,7 @@ def cmd_hessenberg(args) -> int:
         print(_dumps(payload))
     else:
         print(f"h = {tuple(h.values)}")
-        print(f"h' = {tuple(prime) if prime else 'undefined'}")
+        print(f"h' = {'undefined' if prime is None else tuple(prime)}")
         print(f"abelian={payload['abelian']} preabelian={payload['preabelian']} "
               f"dahlberg_small={payload['dahlberg_small']}")
     return 0

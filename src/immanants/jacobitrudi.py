@@ -5,8 +5,9 @@ The matrix of a skew shape is stored as its grid of subscripts
 renders as the constant 1, negative subscripts as 0, and positive k as
 the degree-k complete homogeneous function.  Immanants then reduce to
 bookkeeping over multisets of subscripts, counted by cycle type over the
-permutations with no zero entry (`cycle_cover_counts`, a dynamic program
-over vertex sets rather than a pass over S_n).
+permutations with no zero entry (`cycle_cover_counts`: partial cycle
+covers grown one cycle at a time, each cycle a path grown backwards into
+the cover's least uncovered vertex, rather than a pass over S_n).
 """
 
 from __future__ import annotations
@@ -141,14 +142,15 @@ def cycle_cover_counts(sub) -> dict[Partition, dict[Partition, int]]:
 
     The one count over S_n behind every sum in the library, a dynamic
     program over vertex sets of the square grid `sub` (row r -> column c is
-    an edge unless sub[r][c] < 0).  Covers grow by the cycle through their
-    least uncovered vertex m, each cycle counted once as a path into m over
-    larger vertices, grown backwards from m.  On Jacobi-Trudi grids every
-    column's support is a prefix of rows, so backward paths climb slowly
-    and nearly all of them close.  Those paths are built just before the
-    covers missing m are extended, and dropped after.  A multiset travels
-    as an int holding one digit per value (cycle lengths below, subscripts
-    above), so merging is addition.
+    an edge unless sub[r][c] < 0).  Partial covers (vertex sets covered by
+    disjoint cycles) wait in layers by their least uncovered vertex m, and
+    grow by the cycle through m: a path into m over larger uncovered
+    vertices, grown backwards from m with the cover's counts in tow, and
+    merged into its next layer once an edge from m closes it.  On
+    Jacobi-Trudi grids every column's support is a prefix of rows, so
+    backward paths climb slowly and nearly all of them close.  A multiset
+    travels as an int holding one digit per value (cycle lengths below,
+    subscripts above), so merging is addition.
     """
     n = len(sub)
     width = n.bit_length()  # a digit counts up to n
@@ -161,21 +163,30 @@ def cycle_cover_counts(sub) -> dict[Partition, dict[Partition, int]]:
     layers = [{} for _ in range(n + 1)]  # layers[m]: covers whose least uncovered vertex is m
     layers[0][0] = {0: 1}
     for m in range(n):
-        covers = layers[m]
+        # (used, first vertex u) -> counts of the covers with a path u -> ... -> m
+        paths = {(used | 1 << m, m): terms for used, terms in layers[m].items()}
         layers[m] = None
-        if covers:
-            cycles = _cycles_through(m, into, width)
-            for used, terms in covers.items():
-                for cycle_set, cycle in cycles.items():
-                    if not cycle_set & used:
-                        grown = used | cycle_set
-                        least = (~grown & (grown + 1)).bit_length() - 1
-                        target = layers[least].setdefault(grown, {})
-                        get = target.get
-                        for a, x in terms.items():
-                            for b, y in cycle.items():
-                                b += a
-                                target[b] = get(b, 0) + x * y
+        cycle = 1  # the code of one cycle as long as the paths
+        while paths:
+            longer: dict[tuple[int, int], dict[int, int]] = {}
+            for (used, u), terms in paths.items():
+                for r, bit, e in into[u]:
+                    if r == m:  # the edge m -> u closes the cycle
+                        e += cycle
+                        bucket, key = layers[(~used & (used + 1)).bit_length() - 1], used
+                    elif used & bit:
+                        continue
+                    else:
+                        bucket, key = longer, (used | bit, r)
+                    target = bucket.get(key)
+                    if target is None:
+                        target = bucket[key] = {}
+                    get = target.get
+                    for code, count in terms.items():
+                        code += e
+                        target[code] = get(code, 0) + count
+            paths = longer
+            cycle <<= width
     covers = layers[n].get((1 << n) - 1, {})
     shift = width * n
     low = (1 << shift) - 1
@@ -188,38 +199,6 @@ def cycle_cover_counts(sub) -> dict[Partition, dict[Partition, int]]:
             alpha = alphas[code >> shift] = _multiset(code >> shift, width)
         by_rho.setdefault(code & low, {})[alpha] = count
     return {_multiset(rho, width): by_alpha for rho, by_alpha in by_rho.items()}
-
-
-def _cycles_through(m: int, into, width: int) -> dict[int, dict[int, int]]:
-    """{vertex set: {code: count}} of the cycles through m over vertices above m."""
-    below = (1 << m) - 1  # a path starts with every vertex up to m used
-    cycles: dict[int, dict[int, int]] = {}
-    paths = {(below | 1 << m, m): {0: 1}}  # (used, first vertex) -> paths into m
-    size = 1
-    while paths:
-        longer: dict[tuple[int, int], dict[int, int]] = {}
-        for (used, u), terms in paths.items():
-            for r, bit, e in into[u]:
-                if r == m:
-                    key = used ^ below
-                    e += 1 << width * (size - 1)  # one cycle of this length
-                    target = cycles.get(key)
-                    if target is None:
-                        target = cycles[key] = {}
-                elif used & bit:
-                    continue
-                else:
-                    key = (used | bit, r)
-                    target = longer.get(key)
-                    if target is None:
-                        target = longer[key] = {}
-                get = target.get
-                for code, count in terms.items():
-                    code += e
-                    target[code] = get(code, 0) + count
-        paths = longer
-        size += 1
-    return cycles
 
 
 def _multiset(code: int, width: int) -> Partition:

@@ -10,7 +10,7 @@ Littlewood-Richardson coefficients.
 from __future__ import annotations
 
 from .characters import ClassFunction, induction_product, trivial_character, zero_character
-from .immanant_characters import immanant_character
+from .immanant_characters import immanant_character, immanant_characters
 from .tableaux import (
     SkewShape,
     check_partition,
@@ -111,17 +111,15 @@ def _product_over_components(theta, comps: list[SkewShape]) -> ClassFunction:
     n_total = sum(c.rows for c in comps)
     size_rest = sum(c.size for c in rest)
     out = zero_character(n_total)
+    lefts = immanant_characters(
+        first, [lam for lam in partitions_of(first.size) if contains(lam, theta)]
+    )
     right_factors: dict[tuple, ClassFunction] = {}
-    for lam in partitions_of(first.size):
-        if not contains(lam, theta):
-            continue
-        left = None
+    for lam, left in lefts.items():
         for sigma in partitions_of(size_rest):
             c = lr_coefficient(theta, lam, sigma)
             if not c:
                 continue
-            if left is None:
-                left = immanant_character(lam, first)
             if sigma not in right_factors:
                 right_factors[sigma] = _product_over_components(sigma, rest)
             out = out + c * induction_product(left, right_factors[sigma])

@@ -52,6 +52,17 @@ def test_hessenberg_with_padding_rows(capsys):
     assert blob["preabelian"] is None  # undefined once empty rows appear
 
 
+def test_hessenberg_of_the_empty_shape_has_an_empty_h_prime(capsys):
+    # h' = () is defined; only a failed hess_prime prints "undefined".
+    code, out, _ = run_cli(capsys, "hessenberg", "--outer", "-")
+    assert code == 0 and json.loads(out)["h_prime"] == []
+    code, out, _ = run_cli(capsys, "hessenberg", "--outer", "-", "--format", "table")
+    assert code == 0 and out.splitlines()[1] == "h' = ()"
+    code, out, _ = run_cli(capsys, "hessenberg", "--outer", "2,1", "--rows", "3",
+                           "--format", "table")
+    assert code == 0 and out.splitlines()[1] == "h' = undefined"
+
+
 def test_immanant_subcommand(capsys):
     code, out, _ = run_cli(capsys, "immanant", "--char", "mono:2,1", "--outer", "2,2,2",
                            "--inner", "1", "--basis", "s")

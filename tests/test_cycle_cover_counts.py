@@ -8,6 +8,7 @@ enumerate `symmetric_group`.
 """
 
 import importlib
+import math
 import random
 from collections import Counter
 from itertools import product
@@ -236,6 +237,18 @@ def test_stanley_stembridge_matches_admissible_counts():
             by_class = Counter(cycle_type(w) for w in symmetric_group(n) if h.admits(w))
             want = {rho: zee(rho) * by_class[rho] for rho in partitions_of(n)}
             assert stanley_stembridge_character(h).values == want, values
+
+
+def test_stanley_stembridge_of_the_staircase_at_12_rows():
+    # Under h = (2, 3, ..., 12, 12) the admissible permutations are one cycle
+    # i -> i + 1 -> ... -> j -> i per block of a composition of 12, so the
+    # class rho holds l(rho)! / prod m_i(rho)! of them.  No walk reaches 12 rows.
+    h = hessenberg(tuple(range(2, 13)) + (12,))
+    for rho, value in stanley_stembridge_character(h).values.items():
+        orderings = math.factorial(len(rho))
+        for part in set(rho):
+            orderings //= math.factorial(rho.count(part))
+        assert value == zee(rho) * orderings, rho
 
 
 def test_hessenberg_patterns_match_the_subscript_grid():
