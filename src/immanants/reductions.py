@@ -10,7 +10,7 @@ Littlewood-Richardson coefficients.
 from __future__ import annotations
 
 from .characters import ClassFunction, induction_product, trivial_character, zero_character
-from .immanant_characters import immanant_character, immanant_characters
+from .immanant_characters import immanant_characters
 from .tableaux import (
     SkewShape,
     check_partition,
@@ -105,22 +105,40 @@ def immanant_character_from_components(theta, shape: SkewShape) -> ClassFunction
 
 
 def _product_over_components(theta, comps: list[SkewShape]) -> ClassFunction:
-    if len(comps) == 1:
-        return immanant_character(theta, comps[0])
-    first, rest = comps[0], comps[1:]
-    n_total = sum(c.rows for c in comps)
-    size_rest = sum(c.size for c in rest)
-    out = zero_character(n_total)
-    lefts = immanant_characters(
-        first, [lam for lam in partitions_of(first.size) if contains(lam, theta)]
-    )
-    right_factors: dict[tuple, ClassFunction] = {}
-    for lam, left in lefts.items():
-        for sigma in partitions_of(size_rest):
-            c = lr_coefficient(theta, lam, sigma)
-            if not c:
-                continue
-            if sigma not in right_factors:
-                right_factors[sigma] = _product_over_components(sigma, rest)
-            out = out + c * induction_product(left, right_factors[sigma])
-    return out
+    """The induction-product expansion over comps, one character count per component.
+
+    Top down, split each partition reaching component i between that
+    component (lam) and the components after it (tau), keeping the nonzero
+    LR coefficients.  Bottom up, count each component's characters once, at
+    every lam it needs, and fold them into the products of the partitions
+    reaching it.
+    """
+    reach = [{theta}]
+    splits = []
+    for i, comp in enumerate(comps[:-1]):
+        size_rest = sum(c.size for c in comps[i + 1 :])
+        split = {
+            sigma: [
+                (lam, tau, c)
+                for lam in partitions_of(comp.size)
+                if contains(lam, sigma)
+                for tau in partitions_of(size_rest)
+                if (c := lr_coefficient(sigma, lam, tau))
+            ]
+            for sigma in reach[i]
+        }
+        splits.append(split)
+        reach.append({tau for terms in split.values() for _, tau, _ in terms})
+    products = immanant_characters(comps[-1], reach[-1])
+    n = comps[-1].rows
+    for comp, split in zip(reversed(comps[:-1]), reversed(splits)):
+        lefts = immanant_characters(comp, {lam for terms in split.values() for lam, _, _ in terms})
+        n += comp.rows
+        rights = products
+        products = {}
+        for sigma, terms in split.items():
+            out = zero_character(n)
+            for lam, tau, c in terms:
+                out = out + c * induction_product(lefts[lam], rights[tau])
+            products[sigma] = out
+    return products[theta]

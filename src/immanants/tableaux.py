@@ -20,14 +20,13 @@ Partition = tuple[int, ...]
 
 def check_partition(parts: Iterable[int]) -> Partition:
     """Validate a weakly decreasing sequence and strip trailing zeros."""
-    p = tuple(int(x) for x in parts)
-    for a, b in zip(p, p[1:]):
-        if a < b:
-            raise ValueError(f"not weakly decreasing: {list(p)}")
-    if p and p[-1] < 0:
-        raise ValueError(f"negative part in {list(p)}")
-    while p and p[-1] == 0:
-        p = p[:-1]
+    p = tuple(map(int, parts))
+    if list(p) != sorted(p, reverse=True):
+        raise ValueError(f"not weakly decreasing: {list(p)}")
+    if p and p[-1] <= 0:
+        if p[-1] < 0:
+            raise ValueError(f"negative part in {list(p)}")
+        return p[: p.index(0)]  # the zeros are a suffix
     return p
 
 
@@ -217,10 +216,10 @@ def _ssyt_count(outer: Partition, inner: Partition, content: Partition) -> int:
 
 def _normalize_content(content: Iterable[int]) -> Partition | None:
     """Sorted positive entries, or None if any entry is negative."""
-    c = [int(x) for x in content]
-    if any(x < 0 for x in c):
+    c = sorted(map(int, content), reverse=True)
+    if c and c[-1] < 0:
         return None
-    return tuple(sorted((x for x in c if x > 0), reverse=True))
+    return tuple(filter(None, c))
 
 
 def kostka(theta: Iterable[int], content: Iterable[int]) -> int:

@@ -11,7 +11,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, count, product
 from operator import getitem
 
 from .characters import (
@@ -34,7 +34,7 @@ from .immanant_characters import (
     stanley_stembridge_character,
 )
 from .jacobitrudi import hessenberg_from_skew, immanant, jt_matrix
-from .permutations import conjugacy_classes
+from .permutations import sn_layout
 from .reductions import (
     components,
     immanant_character_from_components,
@@ -44,9 +44,9 @@ from .reductions import (
 from .symfunc import convert, skew_schur
 from .tableaux import (
     SkewShape,
+    _ssyt_count,
     check_partition,
     connected_skew_shapes,
-    hook_leg,
     hook_partition,
     hooks_of,
     is_hook,
@@ -81,6 +81,10 @@ class CheckReport:
         }
 
 
+#: Byte translation of a bin() digit string into 0/1 flags for `compress`.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
     """Check the hook expansion of one shape at each hook theta.
 
@@ -88,24 +92,33 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
     shuffled content equals the number of lowered Hessenberg functions
     admitting the permutation; verifies the class-function equality that
     follows; and checks the closed-form collected multiplicities against
-    the enumerated ones.  One pass over S_n builds every permutation's
-    sorted content once for all thetas; failures come in theta order.
+    the enumerated ones.  One pass over S_n sorts every permutation's
+    content once for all thetas, and each distinct content's Kostka number
+    is counted once per theta.  Each summand's admitted permutations are
+    one bitmask (see `permutations.sn_layout`); permutations are walked one
+    by one only to report witnesses, which come in theta order.
     """
     thetas = [check_partition(theta) for theta in thetas]
+    decomps = [hook_decomposition(theta, shape) for theta in thetas]
+    report = CheckReport("hook-expansion")
+    if not decomps:
+        return report
     n = shape.rows
+    perms, classes, below = sn_layout(n)
     # content_vector(shape, w) holds the subscript at row w(i), column i; with
     # column i of the grid behind a placeholder, that is columns[i][w(i)].
     columns = [(None, *col) for col in zip(*jt_matrix(shape).sub)]
-    classes = [
-        (rho, zee(rho), [(w, tuple(sorted(map(getitem, columns, w)))) for w in members])
-        for rho, members in conjugacy_classes(n).items()
+    ids: dict[tuple, int] = {}
+    content_id = [
+        ids.setdefault(tuple(sorted(map(getitem, columns, w))), len(ids)) for w in perms
     ]
-    contents = {key for _, _, members in classes for _, key in members}
-    report = CheckReport("hook-expansion")
-    for theta in thetas:
+    # Sorted keys with no negative entry are distinct partitions once zeros go;
+    # a negative subscript is a zero matrix entry on the diagonal of w.
+    contents = [None if key[0] < 0 else tuple(filter(None, reversed(key))) for key in ids]
+    everyone = (1 << len(perms)) - 1
+    for theta, decomp in zip(thetas, decomps):
         where = {"shape": shape.to_json(), "theta": list(theta)}
-        k = hook_leg(theta)
-        decomp = hook_decomposition(theta, shape)
+        k = decomp.leg
         base = decomp.base.values
         # Sandwich invariant: every summand sits between h-1 and h pointwise.
         for h, _ in decomp.summands:
@@ -122,23 +135,23 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
             except AssertionError as exc:
                 report.failures.append({**where, "error": str(exc)})
 
-        # A negative subscript is a zero matrix entry on the diagonal of w.
-        kostka_of = {key: kostka(theta, key) if key[0] >= 0 else 0 for key in contents}
-        lhs: dict[tuple, int] = {}
-        rhs: dict[tuple, int] = {}
-        for rho, z, members in classes:
-            acc_l = acc_r = 0
-            for w, key in members:
-                kval = kostka_of[key]
-                sval = sum(mult for h, mult in decomp.summands if h.admits(w))
-                if kval != sval:
+        by_content = [0 if c is None else _ssyt_count(theta, (), c) for c in contents]
+        kval = list(map(by_content.__getitem__, content_id))
+        sval = [0] * len(perms)
+        for h, mult in decomp.summands:
+            admitted = everyone
+            for masks, v in zip(below, h.values):
+                admitted &= masks[v]
+            for p in compress(count(), bin(admitted)[:1:-1].encode().translate(_BIT_FLAGS)):
+                sval[p] += mult
+        if kval != sval:
+            for w, kv, sv in zip(perms, kval, sval):
+                if kv != sv:
                     report.failures.append(
-                        {**where, "w": list(w), "kostka": kval, "indicator_sum": sval}
+                        {**where, "w": list(w), "kostka": kv, "indicator_sum": sv}
                     )
-                acc_l += kval
-                acc_r += sval
-            lhs[rho] = z * acc_l
-            rhs[rho] = z * acc_r
+        lhs = {rho: zee(rho) * sum(kval[start:stop]) for rho, start, stop in classes}
+        rhs = {rho: zee(rho) * sum(sval[start:stop]) for rho, start, stop in classes}
         if lhs != rhs:
             report.failures.append(
                 {
@@ -450,18 +463,20 @@ def scan_records(max_n: int, max_size: int):
     Every record carries the induced-trivial expansion of the immanant
     character; hooks additionally carry their proven expansion.  The
     records report evidence only and assert nothing about open cases.
+    The records of one shape share its "shape" and "h" values.
     """
     for shape in _bounded_connected_shapes(max_n, max_size):
-        h = hessenberg_from_skew(shape)
+        shape_json = shape.to_json()
+        h_values = list(hessenberg_from_skew(shape).values)
         mu, nu = shape.padded()
         identity_content = tuple(m - v for m, v in zip(mu, nu))
         for theta, gamma in immanant_characters(shape).items():
             dec = h_positive_decomposition(gamma)
             record = {
-                "shape": shape.to_json(),
+                "shape": shape_json,
                 "theta": list(theta),
                 "hook": is_hook(theta),
-                "h": list(h.values),
+                "h": h_values,
                 "identity_kostka": kostka(theta, identity_content),
                 "eta_expansion": dec.to_json(),
                 "h_positive": dec.is_integral and dec.is_nonnegative,

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from itertools import permutations
@@ -24,6 +25,7 @@ from immanants import (
     stanley_stembridge_character,
     trivial_character,
     hessenberg_from_skew,
+    immanant_characters,
 )
 from immanants.permutations import cycle_type, symmetric_group
 
@@ -243,6 +245,25 @@ def test_three_component_shape_factors():
         assert immanant_character(theta, shape) == immanant_character_from_components(
             theta, shape
         )
+
+
+def test_component_product_counts_each_component_once(monkeypatch):
+    # (7,5,3,1)/(5,3,1): four one-row components of 2, 2, 2 and 1 boxes.
+    shape = skew_shape((7, 5, 3, 1), (5, 3, 1))
+    theta = (4, 2, 1)
+    assert len(components(shape)) == 4
+    module = importlib.import_module("immanants.immanant_characters")
+    real, calls = module.cycle_cover_counts, []
+
+    def counted(sub):
+        calls.append(len(sub))
+        return real(sub)
+
+    monkeypatch.setattr(module, "cycle_cover_counts", counted)
+    product = immanant_character_from_components(theta, shape)
+    assert calls == [1, 1, 1, 1]
+    monkeypatch.undo()
+    assert product == immanant_characters(shape)[theta]
 
 
 def test_admissible_permutations_stay_in_young_subgroup():

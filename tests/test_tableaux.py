@@ -24,7 +24,12 @@ from immanants import (
     skew_shape,
 )
 from immanants.symfunc import MAX_DEGREE
-from immanants.tableaux import _ssyt_count, check_partition, inverse_kostka_matrix
+from immanants.tableaux import (
+    _normalize_content,
+    _ssyt_count,
+    check_partition,
+    inverse_kostka_matrix,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -136,6 +141,62 @@ def test_check_partition_rejects_bad_input():
         check_partition((2, -1))
     assert check_partition((3, 2, 0, 0)) == (3, 2)
     assert check_partition(()) == ()
+
+
+def check_partition_oracle(parts):
+    """check_partition as a loop over adjacent pairs and a trailing-zero strip."""
+    p = tuple(int(x) for x in parts)
+    for a, b in zip(p, p[1:]):
+        if a < b:
+            raise ValueError(f"not weakly decreasing: {list(p)}")
+    if p and p[-1] < 0:
+        raise ValueError(f"negative part in {list(p)}")
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def normalize_content_oracle(content):
+    """_normalize_content as a scan for negatives, then a filtered sort."""
+    c = [int(x) for x in content]
+    if any(x < 0 for x in c):
+        return None
+    return tuple(sorted((x for x in c if x > 0), reverse=True))
+
+
+def outcome(fn, arg):
+    try:
+        return "value", fn(arg)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Weakly decreasing runs with zeros and negatives mixed in, and arbitrary lists.
+int_sequences = st.one_of(
+    st.lists(st.integers(-3, 6), max_size=8),
+    st.lists(st.integers(-2, 6), max_size=8).map(lambda xs: sorted(xs, reverse=True)),
+    st.lists(st.integers(0, 6), max_size=8).map(lambda xs: sorted(xs, reverse=True)),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(int_sequences)
+def test_check_partition_matches_its_loop_oracle(xs):
+    assert outcome(check_partition, xs) == outcome(check_partition_oracle, xs)
+    assert outcome(check_partition, iter(xs)) == outcome(check_partition_oracle, xs)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(int_sequences)
+def test_normalize_content_matches_its_filter_oracle(xs):
+    assert _normalize_content(xs) == normalize_content_oracle(xs)
+    assert _normalize_content(iter(xs)) == normalize_content_oracle(xs)
+
+
+def test_check_partition_and_normalize_content_reject_non_integers_alike():
+    for bad in (["x"], [2, "1.5"]):
+        assert outcome(check_partition, bad) == outcome(check_partition_oracle, bad)
+        assert outcome(_normalize_content, bad) == outcome(normalize_content_oracle, bad)
 
 
 def test_contains():

@@ -1,19 +1,29 @@
 import json
+import math
 from dataclasses import replace
+from operator import getitem
 
 import pytest
 
 import immanants.verify
 from immanants import (
     ClassFunction,
+    collected_coefficient,
     connected_skew_shapes,
+    hessenberg,
     hook_decomposition,
     hook_partition,
+    jt_matrix,
+    kostka,
     partitions_of,
     skew_shape,
+    zee,
 )
+from immanants.permutations import conjugacy_classes, sn_layout
 from immanants.verify import (
     CheckReport,
+    _bounded_connected_shapes,
+    _shape_hooks,
     run_suites,
     scan_records,
     suite_hook,
@@ -26,6 +36,87 @@ from immanants.verify import (
     verify_hook_decompositions,
     verify_induction_stability,
 )
+
+
+# ---------------------------------------------------------------- oracles
+
+def per_permutation_hook_check(shape, thetas, decompose=hook_decomposition):
+    """The hook check one permutation at a time: `h.admits(w)` per summand, `kostka` per content.
+
+    The loop `verify_hook_decompositions` ran before its admitted sets became
+    bitmasks; `decompose` stands in for `hook_decomposition`.
+    """
+    n = shape.rows
+    columns = [(None, *col) for col in zip(*jt_matrix(shape).sub)]
+    classes = [
+        (rho, zee(rho), [(w, tuple(sorted(map(getitem, columns, w)))) for w in members])
+        for rho, members in conjugacy_classes(n).items()
+    ]
+    report = CheckReport("hook-expansion")
+    for theta in thetas:
+        where = {"shape": shape.to_json(), "theta": list(theta)}
+        decomp = decompose(theta, shape)
+        k = decomp.leg
+        base = decomp.base.values
+        for h, _ in decomp.summands:
+            if not all(b - 1 <= v <= b for v, b in zip(h.values, base)):
+                report.failures.append({**where, "bad_summand": list(h.values)})
+        total = decomp.total_multiplicity
+        if total != (math.comb(n - 1, k) if k <= n - 1 else 0):
+            report.failures.append(
+                {**where, "error": f"expected binom({n - 1},{k}) summands, got {total}"}
+            )
+        for h, _ in decomp.summands:
+            try:
+                collected_coefficient(decomp, h)
+            except AssertionError as exc:
+                report.failures.append({**where, "error": str(exc)})
+        lhs, rhs = {}, {}
+        for rho, z, members in classes:
+            acc_l = acc_r = 0
+            for w, key in members:
+                kval = kostka(theta, key) if key[0] >= 0 else 0
+                sval = sum(mult for h, mult in decomp.summands if h.admits(w))
+                if kval != sval:
+                    report.failures.append(
+                        {**where, "w": list(w), "kostka": kval, "indicator_sum": sval}
+                    )
+                acc_l += kval
+                acc_r += sval
+            lhs[rho] = z * acc_l
+            rhs[rho] = z * acc_r
+        if lhs != rhs:
+            report.failures.append(
+                {
+                    **where,
+                    "error": "class functions differ",
+                    "lhs": {str(list(r)): v for r, v in lhs.items()},
+                    "rhs": {str(list(r)): v for r, v in rhs.items()},
+                }
+            )
+        report.instances += 1
+    return report
+
+
+def drop_first_summand(decomp):
+    return replace(decomp, summands=decomp.summands[1:])
+
+
+def bump_first_multiplicity(decomp):
+    (h, mult), *rest = decomp.summands
+    return replace(decomp, summands=((h, mult + 1), *rest))
+
+
+def move_first_summand_outside_sandwich(decomp):
+    """Swap the first summand for the full or the identity function, whichever leaves the sandwich."""
+    n, base = decomp.shape.rows, decomp.base.values
+    for values in ((n,) * n, tuple(range(1, n + 1))):
+        if not all(b - 1 <= v <= b for v, b in zip(values, base)):
+            return replace(decomp, summands=((hessenberg(values), 1), *decomp.summands[1:]))
+    return decomp
+
+
+SABOTAGES = [None, drop_first_summand, bump_first_multiplicity, move_first_summand_outside_sandwich]
 
 
 def test_check_report_json_schema():
@@ -142,3 +233,35 @@ def test_scan_records_structure_and_determinism():
         else:
             assert "summands" not in record
     assert sizes == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("sabotage", SABOTAGES, ids=lambda f: f.__name__ if f else "true")
+def test_bitmask_hook_check_matches_the_per_permutation_oracle(monkeypatch, sabotage):
+    def decompose(theta, shape):
+        decomp = hook_decomposition(theta, shape)
+        return sabotage(decomp) if sabotage and decomp.summands else decomp
+
+    monkeypatch.setattr("immanants.verify.hook_decomposition", decompose)
+    failing = 0
+    for shape in _bounded_connected_shapes(4, 8):
+        thetas = _shape_hooks(shape)
+        report = verify_hook_decompositions(shape, thetas)
+        oracle = per_permutation_hook_check(shape, thetas, decompose)
+        assert (report.instances, report.failures) == (oracle.instances, oracle.failures)
+        failing += not report.ok
+    # Every sabotage must show on most shapes, or the comparison checks little.
+    assert failing == 0 if sabotage is None else failing > 200
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_sn_layout_masks_follow_their_definition(n):
+    perms, classes, below = sn_layout(n)
+    groups = conjugacy_classes(n)
+    assert [rho for rho, _, _ in classes] == list(groups)
+    assert [tuple(perms[start:stop]) for _, start, stop in classes] == list(groups.values())
+    assert classes[-1][2] == len(perms) == math.factorial(n)
+    assert len(below) == n
+    for j, masks in enumerate(below):
+        assert len(masks) == n + 1
+        for v, mask in enumerate(masks):
+            assert mask == sum(1 << p for p, w in enumerate(perms) if w[j] <= v)
