@@ -5,9 +5,9 @@ The matrix of a skew shape is stored as its grid of subscripts
 renders as the constant 1, negative subscripts as 0, and positive k as
 the degree-k complete homogeneous function.  Immanants then reduce to
 bookkeeping over multisets of subscripts, counted by cycle type over the
-permutations with no zero entry (`cycle_cover_counts`: partial cycle
-covers grown one cycle at a time, each cycle a path grown backwards into
-the cover's least uncovered vertex, rather than a pass over S_n).
+permutations with no zero entry (`cycle_cover_counts`: a sweep in which
+each column picks its row, extending path fragments that close into
+cycles, rather than a pass over S_n).
 """
 
 from __future__ import annotations
@@ -140,54 +140,53 @@ def cycle_cover_counts(sub) -> dict[Partition, dict[Partition, int]]:
     """N[rho][alpha]: how many permutations w of cycle type rho, with every
     sub[r][w(r)] >= 0, have positive subscripts forming the multiset alpha.
 
-    The one count over S_n behind every sum in the library, a dynamic
-    program over vertex sets of the square grid `sub` (row r -> column c is
-    an edge unless sub[r][c] < 0).  Partial covers (vertex sets covered by
-    disjoint cycles) wait in layers by their least uncovered vertex m, and
-    grow by the cycle through m: a path into m over larger uncovered
-    vertices, grown backwards from m with the cover's counts in tow, and
-    merged into its next layer once an edge from m closes it.  On
-    Jacobi-Trudi grids every column's support is a prefix of rows, so
-    backward paths climb slowly and nearly all of them close.  A multiset
-    travels as an int holding one digit per value (cycle lengths below,
-    subscripts above), so merging is addition.
+    The one count over S_n behind every sum in the library: a sweep over
+    the columns of the square grid `sub` (row r -> column c is an edge
+    unless sub[r][c] < 0), column c picking the row r with w(r) = c.  The
+    state is the open path fragments (tail t >= c, length, start s < c),
+    each from the unpicked row s back to t, the next column to pick along
+    it.  Column c closes the fragment with tail c (or a new one at row c),
+    joins it to another's start, or extends it to a free row.  A start is
+    named by the first row with the same entries in later columns, the
+    only ones that read it: one name on clipped grids and 0/-1 patterns.
+    A multiset travels as an int holding one digit per value (cycle
+    lengths below, subscripts above), so merging is addition.
     """
     n = len(sub)
     width = n.bit_length()  # a digit counts up to n
     # Digit k - 1 counts cycles of length k, digit n - 1 + x subscripts x.
-    # into[c]: (row r, its bit, the code of subscript sub[r][c]) per edge r -> c.
-    into = [
-        [(r, 1 << r, x and 1 << width * (n - 1 + x)) for r, x in enumerate(column) if x >= 0]
-        for column in zip(*sub)
-    ]
-    layers = [{} for _ in range(n + 1)]  # layers[m]: covers whose least uncovered vertex is m
-    layers[0][0] = {0: 1}
-    for m in range(n):
-        # (used, first vertex u) -> counts of the covers with a path u -> ... -> m
-        paths = {(used | 1 << m, m): terms for used, terms in layers[m].items()}
-        layers[m] = None
-        cycle = 1  # the code of one cycle as long as the paths
-        while paths:
-            longer: dict[tuple[int, int], dict[int, int]] = {}
-            for (used, u), terms in paths.items():
-                for r, bit, e in into[u]:
-                    if r == m:  # the edge m -> u closes the cycle
-                        e += cycle
-                        bucket, key = layers[(~used & (used + 1)).bit_length() - 1], used
-                    elif used & bit:
-                        continue
-                    else:
-                        bucket, key = longer, (used | bit, r)
-                    target = bucket.get(key)
-                    if target is None:
-                        target = bucket[key] = {}
-                    get = target.get
-                    for code, count in terms.items():
-                        code += e
-                        target[code] = get(code, 0) + count
-            paths = longer
-            cycle <<= width
-    covers = layers[n].get((1 << n) - 1, {})
+    states: dict[tuple, dict[int, int]] = {(): {0: 1}}
+    for c, column in enumerate(zip(*sub)):
+        # edges[r]: the code of subscript sub[r][c], or None without the edge r -> c
+        edges = [None if x < 0 else x and 1 << width * (n - 1 + x) for x in column]
+        free = [(r, edges[r]) for r in range(c + 1, n) if edges[r] is not None]
+        fresh = [row[c + 1 :] for row in sub].index(sub[c][c + 1 :])  # a start at row c
+        grown: dict[tuple, dict[int, int]] = {}
+        while states:  # popped, so each state is freed once it has grown
+            fragments, terms = states.popitem()
+            if fragments and fragments[0][0] == c:
+                (_, length, start), rest = fragments[0], fragments[1:]
+                close = edges[start]
+            else:  # a new fragment at row c, whose closing edge reads row c, not its name
+                length, start, rest, close = 0, fresh, fragments, edges[c]
+            length += 1
+            moves = [] if close is None else [(rest, close + (1 << width * (length - 1)))]
+            for i, (tail, other, joined) in enumerate(rest):  # join a fragment's start
+                if edges[joined] is not None:
+                    fragment = (tail, length + other, start)
+                    moves.append((rest[:i] + (fragment,) + rest[i + 1 :], edges[joined]))
+            tails = {tail for tail, _, _ in rest}
+            for r, e in free:  # claim a free row
+                if r not in tails:
+                    moves.append((tuple(sorted(rest + ((r, length, start),))), e))
+            for key, e in moves:
+                target = grown.setdefault(key, {})
+                get = target.get
+                for code, count in terms.items():
+                    code += e
+                    target[code] = get(code, 0) + count
+        states = grown
+    covers = states.get((), {})
     shift = width * n
     low = (1 << shift) - 1
     alphas: dict[int, Partition] = {}

@@ -1,9 +1,11 @@
-"""The cycle-cover counts against a row-by-row walk and brute-force sums over S_n.
+"""The cycle-cover counts against a row-by-row walk, a subset DP and brute-force sums over S_n.
 
 `immanant_characters` (and through it `immanant_character`),
 `stanley_stembridge_character` and `immanant` all read `cycle_cover_counts`,
-a dynamic program over vertex sets.  `cycle_cover_walk` counts the same
-table with one leaf per admissible permutation; the other oracles
+a sweep over columns that grows path fragments into cycles.
+`cycle_cover_walk` counts the same table with one leaf per admissible
+permutation, `subset_dp_counts` with a dynamic program over vertex sets
+that reaches 12-14 rows where the walk cannot; the other oracles
 enumerate `symmetric_group`.
 """
 
@@ -39,7 +41,7 @@ from immanants import (
     symmetric_group,
     zee,
 )
-from immanants.jacobitrudi import cycle_cover_counts
+from immanants.jacobitrudi import _multiset, cycle_cover_counts
 
 CONNECTED = [
     shape
@@ -88,6 +90,56 @@ def cycle_cover_walk(sub):
                 used[j] = False
 
     place(0)
+    return counts
+
+
+def clipped(sub):
+    """The grid clipped at 1, the one hook thetas are counted on."""
+    return [[min(x, 1) for x in row] for row in sub]
+
+
+def subset_dp_counts(sub):
+    """N[rho][alpha] by a dynamic program over vertex sets of the square grid `sub`.
+
+    Partial covers (vertex sets covered by disjoint cycles) wait in layers
+    by their least uncovered vertex m, and grow by the cycle through m: a
+    path into m over larger uncovered vertices, grown backwards from m and
+    merged into its next layer once an edge from m closes it.  Codes as in
+    `cycle_cover_counts`: digit k - 1 counts cycles of length k, digit
+    n - 1 + x subscripts x.
+    """
+    n = len(sub)
+    width = n.bit_length()
+    into = [
+        [(r, 1 << r, x and 1 << width * (n - 1 + x)) for r, x in enumerate(column) if x >= 0]
+        for column in zip(*sub)
+    ]
+    layers = [{} for _ in range(n + 1)]
+    layers[0][0] = {0: 1}
+    for m in range(n):
+        paths = {(used | 1 << m, m): terms for used, terms in layers[m].items()}
+        cycle = 1
+        while paths:
+            longer = {}
+            for (used, u), terms in paths.items():
+                for r, bit, e in into[u]:
+                    if r == m:
+                        e += cycle
+                        bucket, key = layers[(~used & (used + 1)).bit_length() - 1], used
+                    elif used & bit:
+                        continue
+                    else:
+                        bucket, key = longer, (used | bit, r)
+                    target = bucket.setdefault(key, {})
+                    for code, count in terms.items():
+                        target[code + e] = target.get(code + e, 0) + count
+            paths = longer
+            cycle <<= width
+    counts = {}
+    low = (1 << width * n) - 1
+    for code, count in layers[n].get((1 << n) - 1, {}).items():
+        alpha = _multiset(code >> width * n, width)
+        counts.setdefault(_multiset(code & low, width), {})[alpha] = count
     return counts
 
 
@@ -146,9 +198,8 @@ def test_immanant_characters_match_class_sums(family):
 def test_cycle_cover_counts_match_the_walk(family):
     for shape in FAMILIES[family]:
         sub = jt_matrix(shape).sub
-        clipped = [[min(x, 1) for x in row] for row in sub]
         assert cycle_cover_counts(sub) == cycle_cover_walk(sub), shape
-        assert cycle_cover_counts(clipped) == cycle_cover_walk(clipped), shape
+        assert cycle_cover_counts(clipped(sub)) == cycle_cover_walk(clipped(sub)), shape
     assert cycle_cover_counts(()) == cycle_cover_walk(()) == {(): {(): 1}}
 
 
@@ -165,6 +216,37 @@ def test_cycle_cover_counts_match_the_walk_on_any_support(sub):
     # Not only Hessenberg supports: stanley_stembridge_character's 0/-1
     # grids and clipped grids reach the kernel too.
     assert cycle_cover_counts(sub) == cycle_cover_walk(sub)
+
+
+@pytest.mark.parametrize(
+    "sub",
+    [
+        clipped(jt_matrix(skew_shape((12,) * 12)).sub),
+        clipped(jt_matrix(skew_shape((3,) * 14, (1,))).sub),
+        jt_matrix(skew_shape((4,) * 10)).sub,
+    ],
+    ids=["clipped 12^12", "clipped 3^14/1", "raw 4^10"],
+)
+def test_cycle_cover_counts_match_the_subset_dp(sub):
+    # 10-14 rows, beyond the walk.
+    assert cycle_cover_counts(sub) == subset_dp_counts(sub)
+
+
+@st.composite
+def hessenberg_grids(draw):
+    """A random Hessenberg support in Jacobi-Trudi orientation (row i, column j
+    present when i <= h(j)) with random subscripts 0-3 on it."""
+    n = draw(st.integers(8, 9))
+    h = sorted(draw(st.lists(st.integers(1, n), min_size=n, max_size=n)))
+    h = [max(v, j) for j, v in enumerate(h, start=1)]
+    entry = st.integers(0, 3)
+    return [[draw(entry) if i <= v else -1 for v in h] for i in range(1, n + 1)]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(hessenberg_grids())
+def test_cycle_cover_counts_match_the_subset_dp_on_hessenberg_supports(sub):
+    assert cycle_cover_counts(sub) == subset_dp_counts(sub)
 
 
 def test_immanant_characters_of_zero_box_shapes():
@@ -249,6 +331,14 @@ def test_stanley_stembridge_of_the_staircase_at_12_rows():
         for part in set(rho):
             orderings //= math.factorial(rho.count(part))
         assert value == zee(rho) * orderings, rho
+
+
+def test_stanley_stembridge_of_the_full_pattern_at_15_rows():
+    # h = (15, ..., 15) admits every permutation, so each class reads
+    # zee(rho) * |class| = 15!.  Neither oracle reaches 15 rows.
+    values = stanley_stembridge_character(hessenberg((15,) * 15)).values
+    assert len(values) == 176
+    assert set(values.values()) == {math.factorial(15)}
 
 
 def test_hessenberg_patterns_match_the_subscript_grid():

@@ -336,7 +336,7 @@ def test_two_row_abelian_character_is_h_positive():
 # ------------------------------------------- the main theorem beyond brute force
 
 def test_hook_theorem_beyond_brute_force():
-    # 11-12 rows, where no sum over S_n reaches.  The immanant character runs
+    # 11-18 rows, where no sum over S_n reaches.  The immanant character runs
     # the cover count on the Jacobi-Trudi grid clipped at 1; the summands run
     # it on their 0/-1 grids, so the two sides are different computations.
     for shape in (skew_shape((2,) * 12, (1,)), skew_shape((3,) * 11, (1,))):
@@ -344,6 +344,12 @@ def test_hook_theorem_beyond_brute_force():
         decomp = hook_decomposition(theta, shape)
         assert decomp.total_multiplicity == math.comb(shape.rows - 1, 2)
         assert decomp.character() == immanant_character(theta, shape), shape
+    # 18 rows at leg 1: 17 subsets collected into 16 summands.
+    shape = skew_shape((3,) * 18, (1,))
+    theta = hook_partition(shape.size, 1)
+    decomp = hook_decomposition(theta, shape)
+    assert (len(decomp.summands), decomp.total_multiplicity) == (16, 17)
+    assert decomp.character() == immanant_character(theta, shape)
     # On the full 12 x 12 shape every subscript is positive, so every one
     # of the 12! permutations has l(alpha) = 12 and K = C(11, k).
     full = skew_shape((12,) * 12)
