@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .characters import ClassFunction, zee, zero_character
@@ -130,6 +131,11 @@ class HookDecomposition:
     leg: int
     summands: tuple[tuple[HessenbergFunction, int], ...]
 
+    @cached_property
+    def prime(self) -> HessenbergFunction:
+        """h' of the shape, computed once per decomposition."""
+        return hess_prime(self.shape)
+
     @property
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.summands)
@@ -202,7 +208,7 @@ def collected_coefficient(decomp: HookDecomposition, h: HessenbergFunction) -> i
     """
     enumerated = decomp.multiplicity(h)  # KeyError if not a summand
     base = decomp.base.values[: decomp.shape.rows - 1]
-    a = sum(p == v for p, v in zip(hess_prime(decomp.shape).values, base))
+    a = sum(p == v for p, v in zip(decomp.prime.values, base))
     b = decomp.leg - sum(g != v for g, v in zip(h.values, base))
     predicted = math.comb(a, b) if b >= 0 else 0
     if predicted != enumerated:

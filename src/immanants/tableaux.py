@@ -2,9 +2,10 @@
 
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the partition of 0.  All counting here is exact integer
-arithmetic: Kostka numbers and skew Kostka numbers count chains of
-horizontal strips (the Pieri rule, one kernel for both), and
-Littlewood-Richardson coefficients count lattice fillings.
+arithmetic: Kostka numbers, skew Kostka numbers and the columns of the
+Kostka matrix count chains of horizontal strips (the Pieri rule, one
+strip step for all three), and Littlewood-Richardson coefficients count
+lattice fillings.
 """
 
 from __future__ import annotations
@@ -169,6 +170,45 @@ def skew_shape(outer: Iterable[int], inner: Iterable[int] = (), rows: int | None
     return SkewShape(mu, nu, rows)
 
 
+def _pieri_step(
+    layer: dict[tuple[int, ...], int], outer: Partition, size: int
+) -> dict[tuple[int, ...], int]:
+    """Add one horizontal strip of `size` boxes to every shape in `layer`.
+
+    `layer` maps shapes, padded with zeros to len(outer) rows, to the number
+    of chains reaching them; the result maps each shape nu inside `outer`
+    with nu/mu a horizontal strip of `size` boxes to the sum of those counts.
+    """
+    rows = len(outer)
+    grown: dict[tuple[int, ...], int] = {}
+    for mu, ways in layer.items():
+        # Row i may grow up to min(outer_i, mu_{i-1}); only rows with room
+        # recurse, so the depth is at most the number of distinct parts.
+        caps = [min(o, a) for o, a in zip(outer, (outer[0],) + mu)]
+        free = [i for i in range(rows) if mu[i] < caps[i]]
+        room = [0] * (len(free) + 1)
+        for j in range(len(free) - 1, -1, -1):
+            room[j] = room[j + 1] + caps[free[j]] - mu[free[j]]
+        if size > room[0]:
+            continue
+        nu = list(mu)
+
+        def grow(j: int, extra: int) -> None:
+            # Spread `extra` more boxes over the free rows j, j+1, ...
+            if j == len(free):
+                key = tuple(nu)
+                grown[key] = grown.get(key, 0) + ways
+                return
+            i = free[j]
+            for take in range(max(0, extra - room[j + 1]), min(extra, caps[i] - mu[i]) + 1):
+                nu[i] = mu[i] + take
+                grow(j + 1, extra - take)
+            nu[i] = mu[i]
+
+        grow(0, size)
+    return grown
+
+
 @cache
 def _ssyt_count(outer: Partition, inner: Partition, content: Partition) -> int:
     """Count semistandard fillings of outer/inner with `content` copies of 1..m.
@@ -176,41 +216,14 @@ def _ssyt_count(outer: Partition, inner: Partition, content: Partition) -> int:
     The cells holding one letter form a horizontal strip (Pieri rule), so a
     filling is a chain inner = mu_0 < mu_1 < ... < mu_m = outer in which
     mu_k/mu_{k-1} is a horizontal strip of content[k-1] boxes.  The number
-    of chains reaching each mu_k is carried one letter at a time.  `content`
-    is assumed normalized (positive, weakly decreasing).
+    of chains reaching each mu_k is carried one letter (`_pieri_step`) at a
+    time.  `content` is assumed normalized (positive, weakly decreasing).
     """
     if sum(content) != sum(outer) - sum(inner):
         return 0
-    rows = len(outer)
-    layer = {inner + (0,) * (rows - len(inner)): 1}
+    layer = {inner + (0,) * (len(outer) - len(inner)): 1}
     for size in content:
-        grown: dict[tuple[int, ...], int] = {}
-        for mu, ways in layer.items():
-            # Row i may grow up to min(outer_i, mu_{i-1}); only rows with room
-            # recurse, so the depth is at most the number of distinct parts.
-            caps = [min(o, a) for o, a in zip(outer, (outer[0],) + mu)]
-            free = [i for i in range(rows) if mu[i] < caps[i]]
-            room = [0] * (len(free) + 1)
-            for j in range(len(free) - 1, -1, -1):
-                room[j] = room[j + 1] + caps[free[j]] - mu[free[j]]
-            if size > room[0]:
-                continue
-            nu = list(mu)
-
-            def grow(j: int, extra: int) -> None:
-                # Spread `extra` more boxes over the free rows j, j+1, ...
-                if j == len(free):
-                    key = tuple(nu)
-                    grown[key] = grown.get(key, 0) + ways
-                    return
-                i = free[j]
-                for take in range(max(0, extra - room[j + 1]), min(extra, caps[i] - mu[i]) + 1):
-                    nu[i] = mu[i] + take
-                    grow(j + 1, extra - take)
-                nu[i] = mu[i]
-
-            grow(0, size)
-        layer = grown
+        layer = _pieri_step(layer, outer, size)
     return layer.get(outer, 0)
 
 
@@ -306,8 +319,23 @@ def kostka_matrix(n: int) -> dict[Partition, dict[Partition, int]]:
     lam in the canonical (lex-decreasing) order, and K[theta][theta]=1.
     """
     parts = partitions_of(n)
+    # Column lam is the Pieri layer reached from () by lam's parts.  Contents
+    # are walked depth first, so each prefix (a partition of at most n) is
+    # one strip step on its parent's layer; rows of length n never bind.
+    outer = (n,) * n
+    columns: dict[Partition, dict[tuple[int, ...], int]] = {}
+
+    def rec(prefix: Partition, layer: dict[tuple[int, ...], int], remaining: int) -> None:
+        if remaining == 0:
+            columns[prefix] = layer
+            return
+        for part in range(min(remaining, prefix[-1] if prefix else n), 0, -1):
+            rec(prefix + (part,), _pieri_step(layer, outer, part), remaining - part)
+
+    rec((), {(0,) * n: 1}, n)
+    pad = {theta: theta + (0,) * (n - len(theta)) for theta in parts}
     return {
-        theta: {lam: kostka(theta, lam) for lam in parts}
+        theta: {lam: columns[lam].get(pad[theta], 0) for lam in parts}
         for theta in parts
     }
 

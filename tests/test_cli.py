@@ -239,6 +239,23 @@ def test_immanant_stdout_in_every_basis_is_byte_identical(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, basis
 
 
+# Digests of degree-12 `immanant` stdout at MAX_DEGREE, recorded before the
+# Kostka matrix was built one content column at a time; the m basis also
+# reads the inverse Kostka matrix.
+DEGREE_12_SHA256 = {
+    "s": "d85f815a7341491d8719700674e54396893b36d0aa19e70917f2fef0f4453cbe",
+    "m": "0d60c0244963bd65221d6d89b49cef6b6535bf2d63117d854dff1c086244c1e9",
+}
+
+
+def test_degree_12_immanant_stdout_is_byte_identical(capsys):
+    for basis, want in DEGREE_12_SHA256.items():
+        code, out, _ = run_cli(capsys, "immanant", "--outer", "3,3,2,2,1,1",
+                               "--char", "irr:3,2,1", "--basis", basis)
+        assert code == 0, basis
+        assert hashlib.sha256(out.encode()).hexdigest() == want, basis
+
+
 def test_immanant_refuses_an_oversized_degree_before_the_walk(capsys):
     # 13 full rows of 4: a walk over 13 rows would take minutes.
     start = time.perf_counter()

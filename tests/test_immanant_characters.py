@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from itertools import combinations, permutations
@@ -184,6 +185,28 @@ def test_hook_decomposition_golden_example():
     assert dec.character() == immanant_character((6, 1, 1), shape)
     for h, _ in dec.summands:
         assert collected_coefficient(dec, h) == 1
+
+
+def test_collected_coefficient_computes_h_prime_once_per_decomposition(monkeypatch):
+    module = importlib.import_module("immanants.immanant_characters")
+    shape = skew_shape((4, 4, 3, 3, 2, 1), (2, 1))
+    dec = hook_decomposition((12, 1, 1), shape)
+    before = dec.to_json()
+    calls = 0
+
+    def counted(s):
+        nonlocal calls
+        calls += 1
+        return hess_prime(s)
+
+    monkeypatch.setattr(module, "hess_prime", counted)
+    assert len(dec.summands) > 1
+    for _ in range(2):
+        for h, mult in dec.summands:
+            assert collected_coefficient(dec, h) == mult
+    assert calls <= 1
+    # h' is cached beside the fields, not in them.
+    assert dec.to_json() == before and dec == hook_decomposition((12, 1, 1), shape)
 
 
 def test_hook_decomposition_leg_zero():

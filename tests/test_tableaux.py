@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import immanants.tableaux as tableaux
 from immanants import (
     SkewShape,
     connected_skew_shapes,
@@ -116,6 +117,12 @@ def ssyt_enumeration_oracle(outer, inner, content):
         return total
 
     return fill(0, spans[0][0])
+
+
+def entrywise_kostka_matrix(n):
+    """K[theta][lam] with one Pieri chain count per entry, in canonical order."""
+    parts = partitions_of(n)
+    return {theta: {lam: kostka(theta, lam) for lam in parts} for theta in parts}
 
 
 # ------------------------------------------------------------- partitions
@@ -267,6 +274,39 @@ def test_kostka_matrix_unitriangular():
             for j, lam in enumerate(parts):
                 if i > j:
                     assert km[theta][lam] == 0
+
+
+def test_kostka_matrix_matches_the_entrywise_oracle():
+    for n in (*range(11), MAX_DEGREE):
+        km, want = kostka_matrix(n), entrywise_kostka_matrix(n)
+        assert km == want, n
+        # Same canonical order of rows and of the entries in each row.
+        assert [(theta, list(row)) for theta, row in km.items()] == [
+            (theta, list(row)) for theta, row in want.items()], n
+
+
+def test_kostka_matrix_takes_one_strip_step_per_content_prefix(monkeypatch):
+    # Each partition of m <= n is the prefix of some content of n, and one
+    # step extends it; entrywise counting would take p(n)^2 chains instead.
+    steps = 0
+    step = tableaux._pieri_step
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(tableaux, "_pieri_step", counted)
+    try:
+        for n in range(12):
+            kostka_matrix.cache_clear()
+            steps = 0
+            kostka_matrix(n)
+            assert steps == sum(len(partitions_of(m)) for m in range(1, n + 1)), n
+        assert steps == 194
+    finally:
+        # Drop the matrices built through the wrapper; later calls rebuild them.
+        kostka_matrix.cache_clear()
 
 
 def test_inverse_kostka_matrix():
