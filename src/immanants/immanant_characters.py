@@ -15,9 +15,7 @@ whose bottom nonzero entry is the constant 1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .characters import ClassFunction, zee, zero_character
@@ -57,6 +55,12 @@ def content_vector(shape: SkewShape, w: Permutation) -> tuple[int, ...]:
     return tuple(out)
 
 
+def check_theta_size(theta: Partition, shape: SkewShape) -> None:
+    """Refuse a theta whose size is not the shape's number of boxes."""
+    if sum(theta) != shape.size:
+        raise ValueError(f"theta has size {sum(theta)} but the shape has {shape.size} boxes")
+
+
 def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassFunction]:
     """Class function of the shape at each theta (default: every partition of its size).
 
@@ -73,10 +77,7 @@ def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassF
     else:
         thetas = [check_partition(theta) for theta in thetas]
         for theta in thetas:
-            if sum(theta) != shape.size:
-                raise ValueError(
-                    f"theta has size {sum(theta)} but the shape has {shape.size} boxes"
-                )
+            check_theta_size(theta, shape)
     sub = jt_matrix(shape).sub
     hooks = shape.size > 0 and all(map(is_hook, thetas))
     if hooks:
@@ -128,13 +129,9 @@ class HookDecomposition:
     theta: Partition
     shape: SkewShape
     base: HessenbergFunction
+    prime: HessenbergFunction
     leg: int
     summands: tuple[tuple[HessenbergFunction, int], ...]
-
-    @cached_property
-    def prime(self) -> HessenbergFunction:
-        """h' of the shape, computed once per decomposition."""
-        return hess_prime(self.shape)
 
     @property
     def total_multiplicity(self) -> int:
@@ -165,38 +162,30 @@ def hook_decomposition(theta, shape: SkewShape) -> HookDecomposition:
     """Expand the immanant character of a hook theta over lowered Hessenberg functions.
 
     One summand per leg-sized subset S of the first n-1 columns: h' on S
-    and h elsewhere, collected with multiplicities in first-seen order.
+    and h elsewhere, collected with multiplicities in first-seen order.  A
+    leg longer than n-1 has no such subset, so its expansion is empty.
     Requires a shape with at least one row and no empty rows; callers
     must strip empty rows first (see reductions.remove_empty_rows).
     """
     theta = check_partition(theta)
     k = hook_leg(theta)
-    if sum(theta) != shape.size:
-        raise ValueError(
-            f"theta has size {sum(theta)} but the shape has {shape.size} boxes"
-        )
+    check_theta_size(theta, shape)
     if shape.has_empty_rows:
         raise ValueError("shape has empty rows; remove them first (remove_empty_rows)")
     n = shape.rows
     if n == 0:
         raise ValueError("the hook expansion needs a shape with at least one row")
     base = hessenberg_from_skew(shape)
-    if k > n - 1:
-        warnings.warn(
-            f"leg {k} exceeds {n - 1}; the expansion is empty and the character is zero",
-            stacklevel=2,
-        )
-        return HookDecomposition(theta, shape, base, k, ())
-    prime = hess_prime(shape).values  # no empty row, so h'(j) >= j and this cannot raise
+    prime = hess_prime(shape)  # a row and no empty one, so h'(j) >= j and this cannot raise
     collected: dict[tuple[int, ...], int] = {}  # first-seen order
     for subset in combinations(range(n - 1), k):
         values = list(base.values)
         for j in subset:
-            values[j] = prime[j]
+            values[j] = prime.values[j]
         values = tuple(values)
         collected[values] = collected.get(values, 0) + 1
     summands = tuple((hessenberg(v), m) for v, m in collected.items())
-    return HookDecomposition(theta, shape, base, k, summands)
+    return HookDecomposition(theta, shape, base, prime, k, summands)
 
 
 def collected_coefficient(decomp: HookDecomposition, h: HessenbergFunction) -> int:

@@ -20,7 +20,7 @@ from .characters import ClassFunction
 # cycle_type is unused here; bench/traced_cli.py rebinds it on this module at start-up.
 from .permutations import Permutation, cycle_type  # noqa: F401
 from .symfunc import SymFunc, sym_func
-from .tableaux import Partition, SkewShape
+from .tableaux import Partition, SkewShape, _as_ints
 
 
 class NotHessenbergError(ValueError):
@@ -64,7 +64,7 @@ class HessenbergFunction:
 
 
 def hessenberg(values) -> HessenbergFunction:
-    return HessenbergFunction(tuple(int(v) for v in values))
+    return HessenbergFunction(_as_ints(values))
 
 
 def hess_indicator(h: HessenbergFunction, w: Permutation) -> int:

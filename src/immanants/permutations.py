@@ -47,9 +47,8 @@ def symmetric_group(n: int) -> tuple[Permutation, ...]:
     return tuple(itertools.permutations(range(1, n + 1)))
 
 
-@cache
 def conjugacy_classes(n: int) -> dict[Partition, tuple[Permutation, ...]]:
-    """All of S_n grouped by cycle type."""
+    """All of S_n grouped by cycle type; `sn_layout` keeps the one cached copy."""
     grouped: dict[Partition, list[Permutation]] = {}
     for w in symmetric_group(n):
         grouped.setdefault(cycle_type(w), []).append(w)

@@ -10,7 +10,7 @@ Littlewood-Richardson coefficients.
 from __future__ import annotations
 
 from .characters import ClassFunction, induction_product, trivial_character, zero_character
-from .immanant_characters import immanant_characters
+from .immanant_characters import check_theta_size, immanant_characters
 from .tableaux import (
     SkewShape,
     check_partition,
@@ -93,10 +93,7 @@ def immanant_character_from_components(theta, shape: SkewShape) -> ClassFunction
     by inducing the minimal-row answer up to the requested row count.
     """
     theta = check_partition(theta)
-    if sum(theta) != shape.size:
-        raise ValueError(
-            f"theta has size {sum(theta)} but the shape has {shape.size} boxes"
-        )
+    check_theta_size(theta, shape)
     reduced = remove_empty_rows(shape)
     comps = components(reduced)
     if len(comps) < 2:

@@ -19,9 +19,19 @@ from typing import Iterable, Iterator
 Partition = tuple[int, ...]
 
 
+def _as_ints(values: Iterable) -> tuple[int, ...]:
+    """The values as ints, refusing any value v with int(v) != v."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(v for v, i in zip(values, ints) if i != v)
+        raise ValueError(f"not an integer: {bad!r}")
+    return ints
+
+
 def check_partition(parts: Iterable[int]) -> Partition:
     """Validate a weakly decreasing sequence and strip trailing zeros."""
-    p = tuple(map(int, parts))
+    p = _as_ints(parts)
     if list(p) != sorted(p, reverse=True):
         raise ValueError(f"not weakly decreasing: {list(p)}")
     if p and p[-1] <= 0:
@@ -229,7 +239,7 @@ def _ssyt_count(outer: Partition, inner: Partition, content: Partition) -> int:
 
 def _normalize_content(content: Iterable[int]) -> Partition | None:
     """Sorted positive entries, or None if any entry is negative."""
-    c = sorted(map(int, content), reverse=True)
+    c = sorted(_as_ints(content), reverse=True)
     if c and c[-1] < 0:
         return None
     return tuple(filter(None, c))

@@ -182,6 +182,21 @@ def test_decompose_refuses_the_empty_shape(capsys):
     assert "at least one row" in err
 
 
+def test_decompose_prints_an_oversized_leg_as_empty_and_quietly():
+    # A subprocess, so stderr is what a user sees under default warning filters.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "immanants.cli", "decompose", "--theta", "2,1,1", "--outer", "2,2"],
+        capture_output=True, text=True, env=env, cwd=root,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == (
+        '{"theta":[2,1,1],"shape":{"outer":[2,2],"inner":[],"rows":2},"h":[2,2],"summands":[]}\n'
+    )
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and "immanants" in out

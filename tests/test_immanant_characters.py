@@ -19,6 +19,7 @@ from immanants import (
     hook_partition,
     immanant,
     immanant_character,
+    immanant_character_from_components,
     immanant_characters,
     inner_product,
     is_abelian,
@@ -190,8 +191,6 @@ def test_hook_decomposition_golden_example():
 def test_collected_coefficient_computes_h_prime_once_per_decomposition(monkeypatch):
     module = importlib.import_module("immanants.immanant_characters")
     shape = skew_shape((4, 4, 3, 3, 2, 1), (2, 1))
-    dec = hook_decomposition((12, 1, 1), shape)
-    before = dec.to_json()
     calls = 0
 
     def counted(s):
@@ -200,13 +199,13 @@ def test_collected_coefficient_computes_h_prime_once_per_decomposition(monkeypat
         return hess_prime(s)
 
     monkeypatch.setattr(module, "hess_prime", counted)
+    dec = hook_decomposition((12, 1, 1), shape)
     assert len(dec.summands) > 1
     for _ in range(2):
         for h, mult in dec.summands:
             assert collected_coefficient(dec, h) == mult
-    assert calls <= 1
-    # h' is cached beside the fields, not in them.
-    assert dec.to_json() == before and dec == hook_decomposition((12, 1, 1), shape)
+    assert calls == 1
+    assert dec.prime == hess_prime(shape) and dec == hook_decomposition((12, 1, 1), shape)
 
 
 def test_hook_decomposition_leg_zero():
@@ -233,13 +232,27 @@ def test_hook_decomposition_rejects_empty_rows():
         hook_decomposition((2,), skew_shape((2,), (), 2))
 
 
-def test_hook_decomposition_oversized_leg_warns_and_is_zero():
+def test_hook_decomposition_oversized_leg_is_empty_and_zero():
     shape = skew_shape((3, 1))
-    with pytest.warns(UserWarning):
-        dec = hook_decomposition((1, 1, 1, 1), shape)
+    dec = hook_decomposition((1, 1, 1, 1), shape)
     assert dec.summands == ()
+    assert (dec.theta, dec.leg, dec.base) == ((1, 1, 1, 1), 3, hessenberg_from_skew(shape))
     zero = immanant_character((1, 1, 1, 1), shape)
     assert all(v == 0 for v in zero.values.values())
+
+
+@pytest.mark.parametrize(
+    "entry", [
+        lambda theta, shape: immanant_characters(shape, [theta]),
+        hook_decomposition,
+        immanant_character_from_components,
+    ],
+    ids=["immanant_characters", "hook_decomposition", "immanant_character_from_components"],
+)
+def test_every_entry_point_refuses_a_theta_of_the_wrong_size(entry):
+    shape = skew_shape((3, 1), (1,))  # two components, 3 boxes
+    with pytest.raises(ValueError, match="theta has size 4 but the shape has 3 boxes"):
+        entry((2, 1, 1), shape)
 
 
 def test_hook_decomposition_refuses_the_empty_shape():

@@ -57,6 +57,12 @@ def test_hessenberg_function_validation():
     assert h.n == 4 and h(2) == 3 and h.max_excess == 2
 
 
+def test_hessenberg_refuses_non_integral_values():
+    with pytest.raises(ValueError, match=r"not an integer: 1\.9"):
+        hessenberg([1.9, 2])
+    assert hessenberg([2.0, 2]).values == (2, 2)
+
+
 def test_hessenberg_extraction_goldens():
     assert hessenberg_from_skew(skew_shape((3, 2, 2, 1, 1))).values == (3, 3, 4, 5, 5)
     assert hessenberg_from_skew(skew_shape((3, 3, 3, 1), (1, 1))).values == (3, 3, 4, 4)

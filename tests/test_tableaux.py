@@ -150,6 +150,12 @@ def test_check_partition_rejects_bad_input():
     assert check_partition(()) == ()
 
 
+def test_check_partition_refuses_non_integral_parts():
+    with pytest.raises(ValueError, match=r"not an integer: 2\.5"):
+        check_partition([2.5, 1])
+    assert check_partition([2.0, 1, 0.0]) == (2, 1)
+
+
 def check_partition_oracle(parts):
     """check_partition as a loop over adjacent pairs and a trailing-zero strip."""
     p = tuple(int(x) for x in parts)
@@ -224,6 +230,14 @@ def test_hooks():
 
 def test_kostka_golden_hook_example():
     assert kostka((6, 1, 1), (2, 2, 3, 1)) == 3
+
+
+def test_kostka_refuses_non_integral_theta_and_content():
+    with pytest.raises(ValueError, match=r"not an integer: 2\.7"):
+        kostka((2.7, 1), (2, 1))
+    with pytest.raises(ValueError, match=r"not an integer: 1\.5"):
+        kostka((2,), (1.5, 1.5))
+    assert kostka((2.0, 1), (1.0, 1, 1)) == 2
 
 
 def test_kostka_single_row_is_one():
