@@ -18,6 +18,7 @@ from operator import mul
 
 from .tableaux import (
     Partition,
+    _as_ints,
     check_partition,
     inverse_kostka_matrix,
     kostka_matrix,
@@ -80,8 +81,9 @@ class ClassFunction:
 
     @staticmethod
     def from_json(obj: dict) -> "ClassFunction":
-        values = {partition_from_key(k): int(v) for k, v in obj["values"].items()}
-        return ClassFunction(int(obj["n"]), values)
+        keys = map(partition_from_key, obj["values"])
+        values = dict(zip(keys, _as_ints(obj["values"].values())))
+        return ClassFunction(_as_ints((obj["n"],))[0], values)
 
 
 def zero_character(n: int) -> ClassFunction:
@@ -128,14 +130,12 @@ def _mn_value(shape: Partition, rho: Partition) -> int:
     return total
 
 
-@cache
 def irreducible_character(lam) -> ClassFunction:
     lam = check_partition(lam)
     n = sum(lam)
     return ClassFunction(n, {rho: _mn_value(lam, rho) for rho in partitions_of(n)})
 
 
-@cache
 def character_table(n: int) -> dict[Partition, ClassFunction]:
     return {lam: irreducible_character(lam) for lam in partitions_of(n)}
 

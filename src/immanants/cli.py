@@ -42,7 +42,7 @@ def parse_partition(text: str):
     try:
         return check_partition(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise SystemExit(f"invalid partition {text!r}: {exc}")
+        raise ValueError(f"invalid partition {text!r}: {exc}")
 
 
 def _shape_from_args(args) -> SkewShape:
@@ -51,7 +51,7 @@ def _shape_from_args(args) -> SkewShape:
     try:
         return skew_shape(outer, inner, args.rows)
     except ValueError as exc:
-        raise SystemExit(f"invalid shape: {exc}")
+        raise ValueError(f"invalid shape: {exc}")
 
 
 def _parse_character(spec: str, n: int) -> ClassFunction:
@@ -67,11 +67,11 @@ def _parse_character(spec: str, n: int) -> ClassFunction:
         if spec.startswith(prefix):
             lam = parse_partition(spec[len(prefix):])
             if sum(lam) != n:
-                raise SystemExit(
+                raise ValueError(
                     f"character index {list(lam)} is a partition of {sum(lam)}, need {n}"
                 )
             return builder(lam)
-    raise SystemExit(f"unknown character {spec!r}; use sgn|triv|irr:LAM|mono:LAM|eta:LAM")
+    raise ValueError(f"unknown character {spec!r}; use sgn|triv|irr:LAM|mono:LAM|eta:LAM")
 
 
 def _print_class_function(chi: ClassFunction, fmt: str) -> None:
@@ -155,10 +155,7 @@ def cmd_gamma(args) -> int:
 def cmd_decompose(args) -> int:
     shape = _shape_from_args(args)
     theta = parse_partition(args.theta)
-    try:
-        decomp = hook_decomposition(theta, shape)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    decomp = hook_decomposition(theta, shape)
     if args.format == "json":
         print(_dumps(decomp.to_json()))
     else:
@@ -170,10 +167,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = [s.strip() for s in args.suite.split(",")]
-    try:
-        reports = run_suites(suites, args.max_n, args.max_size)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    reports = run_suites(suites, args.max_n, args.max_size)
     payload = [r.to_json() for r in reports]
     if args.format == "json":
         print(_dumps(payload))
@@ -278,13 +272,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        if isinstance(exc.code, int):
-            return exc.code
-        print(exc.code, file=sys.stderr)
-        return 1
+    except SystemExit as exc:  # argparse's exit status for --help and usage errors
+        return exc.code
     except (ValueError, ArithmeticError) as exc:
         print(str(exc), file=sys.stderr)
         return 1

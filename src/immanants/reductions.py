@@ -104,38 +104,25 @@ def immanant_character_from_components(theta, shape: SkewShape) -> ClassFunction
 def _product_over_components(theta, comps: list[SkewShape]) -> ClassFunction:
     """The induction-product expansion over comps, one character count per component.
 
-    Top down, split each partition reaching component i between that
-    component (lam) and the components after it (tau), keeping the nonzero
-    LR coefficients.  Bottom up, count each component's characters once, at
-    every lam it needs, and fold them into the products of the partitions
-    reaching it.
+    Bottom up, fold each component's characters (lam) into the products of
+    the components after it (tau): the product at sigma sums, over lam
+    inside sigma and every tau, c^sigma_{lam tau} times the induction product
+    of the two.  Inner splits fill every sigma of their size; the top split
+    only theta.
     """
-    reach = [{theta}]
-    splits = []
-    for i, comp in enumerate(comps[:-1]):
-        size_rest = sum(c.size for c in comps[i + 1 :])
-        split = {
-            sigma: [
-                (lam, tau, c)
-                for lam in partitions_of(comp.size)
-                if contains(lam, sigma)
-                for tau in partitions_of(size_rest)
-                if (c := lr_coefficient(sigma, lam, tau))
-            ]
-            for sigma in reach[i]
-        }
-        splits.append(split)
-        reach.append({tau for terms in split.values() for _, tau, _ in terms})
-    products = immanant_characters(comps[-1], reach[-1])
-    n = comps[-1].rows
-    for comp, split in zip(reversed(comps[:-1]), reversed(splits)):
-        lefts = immanant_characters(comp, {lam for terms in split.values() for lam, _, _ in terms})
-        n += comp.rows
-        rights = products
-        products = {}
-        for sigma, terms in split.items():
+    products = immanant_characters(comps[-1])
+    size, n = comps[-1].size, comps[-1].rows
+    for i in range(len(comps) - 2, -1, -1):
+        lefts = immanant_characters(comps[i])
+        size += comps[i].size
+        n += comps[i].rows
+        rights, products = products, {}
+        for sigma in partitions_of(size) if i else [theta]:
             out = zero_character(n)
-            for lam, tau, c in terms:
-                out = out + c * induction_product(lefts[lam], rights[tau])
+            for lam, left in lefts.items():
+                if contains(lam, sigma):
+                    for tau, right in rights.items():
+                        if c := lr_coefficient(sigma, lam, tau):
+                            out = out + c * induction_product(left, right)
             products[sigma] = out
     return products[theta]

@@ -17,6 +17,7 @@ from .characters import ClassFunction, character_table, zee
 from .tableaux import (
     Partition,
     SkewShape,
+    _as_ints,
     check_partition,
     inverse_kostka_matrix,
     kostka_matrix,
@@ -78,7 +79,7 @@ class SymFunc:
             coeffs[partition_from_key(key)] = (
                 int(val) if isinstance(val, int) else Fraction(val)
             )
-        return sym_func(obj["basis"], int(obj["degree"]), coeffs)
+        return sym_func(obj["basis"], _as_ints((obj["degree"],))[0], coeffs)
 
     def __str__(self) -> str:
         terms = []

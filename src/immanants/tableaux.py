@@ -170,8 +170,7 @@ def skew_shape(outer: Iterable[int], inner: Iterable[int] = (), rows: int | None
         (i + 1 for i in range(len(mu)) if mu[i] > (nu[i] if i < len(nu) else 0)),
         default=0,
     )
-    if rows is None:
-        rows = length
+    rows = length if rows is None else _as_ints((rows,))[0]
     if rows < length:
         raise ValueError(f"rows={rows} is less than the last nonempty row {length}")
     # Rows beyond `rows` are empty by the length check; drop them.

@@ -291,7 +291,7 @@ def suite_characters(max_n: int = 7, max_size: int = 0) -> CheckReport:
     report = CheckReport("character-duality")
     for n in range(0, max_n + 1):
         parts = partitions_of(n)
-        irr = {lam: character_table(n)[lam] for lam in parts}
+        irr = character_table(n)
         eta = {lam: induced_trivial_character(lam) for lam in parts}
         phi = {lam: monomial_character(lam) for lam in parts}
         for a in parts:

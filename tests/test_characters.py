@@ -96,6 +96,16 @@ def test_class_function_arithmetic_and_json():
     assert ClassFunction.from_json(s.to_json()) == s
 
 
+@pytest.mark.parametrize("blob", [
+    {"n": 1, "values": {"[1]": 1.5}},
+    {"n": 2.7, "values": {"[2]": 1, "[1,1]": 1}},
+    {"n": 1, "values": {"[1]": "7"}},
+])
+def test_class_function_from_json_refuses_non_integers(blob):
+    with pytest.raises(ValueError, match="not an integer"):
+        ClassFunction.from_json(blob)
+
+
 # ----------------------------------------------------------- irreducibles
 
 def test_s3_character_table_golden():

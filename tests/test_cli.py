@@ -6,6 +6,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from immanants.cli import main
 from immanants.verify import CheckReport
 
@@ -180,6 +182,33 @@ def test_decompose_refuses_the_empty_shape(capsys):
     code, out, err = run_cli(capsys, "decompose", "--outer", "-", "--theta", "-")
     assert code == 1 and out == ""
     assert "at least one row" in err
+
+
+# Each invalid input exits 1 with nothing on stdout and exactly one stderr line;
+# the lines were recorded before invalid input reached `main` as ValueError.
+INVALID_INPUT_STDERR = {
+    ("kostka", "--theta", "1,2", "--content", "1,2"):
+        "invalid partition '1,2': not weakly decreasing: [1, 2]",
+    ("gamma", "--outer", "2,2", "--inner", "3", "--theta", "1"):
+        "invalid shape: inner [3] does not fit inside outer [2, 2]",
+    ("immanant", "--outer", "2,2", "--char", "bogus"):
+        "unknown character 'bogus'; use sgn|triv|irr:LAM|mono:LAM|eta:LAM",
+    ("immanant", "--outer", "2,2", "--char", "irr:3"):
+        "character index [3] is a partition of 3, need 2",
+    ("decompose", "--outer", "2,2", "--theta", "4", "--rows", "3"):
+        "shape has empty rows; remove them first (remove_empty_rows)",
+    ("verify", "--suite", "nope"):
+        "unknown suites ['nope']; choose from ['characters', 'hook', 'immanant', 'kostka', "
+        "'positivity', 'reductions'] or 'all'",
+    ("decompose", "--outer", "-", "--theta", "-"):
+        "the hook expansion needs a shape with at least one row",
+}
+
+
+@pytest.mark.parametrize("argv", list(INVALID_INPUT_STDERR), ids=" ".join)
+def test_invalid_input_prints_one_stderr_line_and_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", INVALID_INPUT_STDERR[argv] + "\n")
 
 
 def test_decompose_prints_an_oversized_leg_as_empty_and_quietly():

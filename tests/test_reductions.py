@@ -28,6 +28,7 @@ from immanants import (
     immanant_characters,
 )
 from immanants.permutations import cycle_type, symmetric_group
+from immanants.verify import _assemble_disconnected
 
 
 # ---------------------------------------------------------------- oracles
@@ -245,6 +246,19 @@ def test_three_component_shape_factors():
         assert immanant_character(theta, shape) == immanant_character_from_components(
             theta, shape
         )
+
+
+def test_three_multi_box_components_factor_at_every_theta():
+    # Components (2,2), (2,1) and (2), bare and padded with one empty row.
+    top = _assemble_disconnected(skew_shape((2, 2)), skew_shape((2, 1)))
+    shape = _assemble_disconnected(top, skew_shape((2,)))
+    assert [(c.outer, c.inner) for c in components(shape)] == [
+        ((2, 2), ()), ((2, 1), ()), ((2,), ())
+    ]
+    for s in (shape, skew_shape(shape.outer, shape.inner, shape.rows + 1)):
+        direct = immanant_characters(s)
+        for theta in partitions_of(9):
+            assert immanant_character_from_components(theta, s) == direct[theta], (s, theta)
 
 
 def test_component_product_counts_each_component_once(monkeypatch):

@@ -139,3 +139,10 @@ def test_degree_cap():
 def test_json_roundtrip_with_rational_coeffs():
     f = frobenius(irreducible_character((2, 1)))
     assert SymFunc.from_json(f.to_json()).coeffs == f.coeffs
+
+
+def test_symfunc_from_json_refuses_a_non_integral_degree():
+    blob = {"basis": "p", "degree": 2, "coeffs": {"[2]": "1/2", "[1,1]": "1/2"}}
+    assert SymFunc.from_json(blob).coeffs == {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)}
+    with pytest.raises(ValueError, match="not an integer: 2.5"):
+        SymFunc.from_json({**blob, "degree": 2.5})

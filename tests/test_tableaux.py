@@ -516,6 +516,14 @@ def test_skew_shape_json_roundtrip():
     assert SkewShape.from_json(json.loads(blob)) == s
 
 
+def test_skew_shape_refuses_a_non_integral_row_count():
+    assert skew_shape((2, 1), (), 3.0).rows == 3
+    with pytest.raises(ValueError, match="not an integer: 2.5"):
+        skew_shape((2, 1), (), 2.5)
+    with pytest.raises(ValueError, match="not an integer: 2.5"):
+        SkewShape.from_json({"outer": [2, 1], "rows": 2.5})
+
+
 def test_empty_shape():
     s = skew_shape((), (), 0)
     assert s.size == 0 and s.rows == 0 and s.length == 0
