@@ -11,25 +11,11 @@ import argparse
 import json
 import sys
 
-from .characters import (
-    ClassFunction,
-    induced_trivial_character,
-    irreducible_character,
-    monomial_character,
-    sign_character,
-    trivial_character,
-)
-from .immanant_characters import (
-    hook_decomposition,
-    immanant_character,
-    is_abelian,
-    is_dahlberg_small,
-    is_preabelian,
-)
-from .jacobitrudi import hess_prime, hessenberg_from_skew, immanant, jt_matrix, NotHessenbergError
-from .symfunc import _check_degree, convert
-from .tableaux import SkewShape, check_partition, kostka, partitions_of, skew_shape
-from .verify import SUITES, run_suites, scan_records
+# Each command imports the layers it runs when it runs, so a `python -m
+# immanants.cli` call loads only those.  Imported as a library (the console
+# script, bench/traced_cli.py), the module loads every layer up front.
+if __name__ != "__main__":
+    from . import verify  # noqa: F401  (verify imports every other layer)
 
 
 def _dumps(obj) -> str:
@@ -37,6 +23,8 @@ def _dumps(obj) -> str:
 
 
 def parse_partition(text: str):
+    from .tableaux import check_partition
+
     if text == "-" or text == "":
         return ()
     try:
@@ -45,7 +33,9 @@ def parse_partition(text: str):
         raise ValueError(f"invalid partition {text!r}: {exc}")
 
 
-def _shape_from_args(args) -> SkewShape:
+def _shape_from_args(args):
+    from .tableaux import skew_shape
+
     outer = parse_partition(args.outer)
     inner = parse_partition(args.inner) if args.inner else ()
     try:
@@ -54,7 +44,15 @@ def _shape_from_args(args) -> SkewShape:
         raise ValueError(f"invalid shape: {exc}")
 
 
-def _parse_character(spec: str, n: int) -> ClassFunction:
+def _parse_character(spec: str, n: int):
+    from .characters import (
+        induced_trivial_character,
+        irreducible_character,
+        monomial_character,
+        sign_character,
+        trivial_character,
+    )
+
     if spec == "sgn":
         return sign_character(n)
     if spec == "triv":
@@ -74,7 +72,9 @@ def _parse_character(spec: str, n: int) -> ClassFunction:
     raise ValueError(f"unknown character {spec!r}; use sgn|triv|irr:LAM|mono:LAM|eta:LAM")
 
 
-def _print_class_function(chi: ClassFunction, fmt: str) -> None:
+def _print_class_function(chi, fmt: str) -> None:
+    from .tableaux import partitions_of
+
     if fmt == "json":
         print(_dumps(chi.to_json()))
         return
@@ -84,6 +84,8 @@ def _print_class_function(chi: ClassFunction, fmt: str) -> None:
 
 
 def cmd_kostka(args) -> int:
+    from .tableaux import kostka
+
     theta = parse_partition(args.theta)
     content = tuple(int(x) for x in args.content.split(",")) if args.content not in ("-", "") else ()
     value = kostka(theta, content)
@@ -95,6 +97,8 @@ def cmd_kostka(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from .jacobitrudi import jt_matrix
+
     shape = _shape_from_args(args)
     matrix = jt_matrix(shape)
     if args.format == "json":
@@ -105,6 +109,9 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_hessenberg(args) -> int:
+    from .immanant_characters import is_abelian, is_dahlberg_small, is_preabelian
+    from .jacobitrudi import NotHessenbergError, hess_prime, hessenberg_from_skew
+
     shape = _shape_from_args(args)
     h = hessenberg_from_skew(shape)
     try:
@@ -130,6 +137,9 @@ def cmd_hessenberg(args) -> int:
 
 
 def cmd_immanant(args) -> int:
+    from .jacobitrudi import immanant
+    from .symfunc import _check_degree, convert
+
     shape = _shape_from_args(args)
     if args.basis != "h":
         _check_degree(shape.size)  # refuse before the walk, not after it
@@ -145,6 +155,8 @@ def cmd_immanant(args) -> int:
 
 
 def cmd_gamma(args) -> int:
+    from .immanant_characters import immanant_character
+
     shape = _shape_from_args(args)
     theta = parse_partition(args.theta)
     gamma = immanant_character(theta, shape)
@@ -153,6 +165,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .immanant_characters import hook_decomposition
+
     shape = _shape_from_args(args)
     theta = parse_partition(args.theta)
     decomp = hook_decomposition(theta, shape)
@@ -166,6 +180,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suites
+
     suites = [s.strip() for s in args.suite.split(",")]
     reports = run_suites(suites, args.max_n, args.max_size)
     payload = [r.to_json() for r in reports]
@@ -184,6 +200,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .verify import scan_records
+
     for record in scan_records(args.max_n, args.max_size):
         print(_dumps(record))
     return 0

@@ -15,12 +15,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import le
+from typing import TYPE_CHECKING
 
 from .characters import ClassFunction
 # cycle_type is unused here; bench/traced_cli.py rebinds it on this module at start-up.
 from .permutations import Permutation, cycle_type  # noqa: F401
-from .symfunc import SymFunc, sym_func
 from .tableaux import Partition, SkewShape, _as_ints
+
+if TYPE_CHECKING:
+    from .symfunc import SymFunc
 
 
 class NotHessenbergError(ValueError):
@@ -219,6 +222,8 @@ def immanant(chi: ClassFunction, shape: SkewShape) -> SymFunc:
     Sums chi(w) * h_{subscripts along w} over permutations, grouped by
     `cycle_cover_counts`.
     """
+    from .symfunc import sym_func  # only immanant needs symfunc: the rest of this module runs without it
+
     n = shape.rows
     if chi.n != n:
         raise ValueError(f"character on S_{chi.n} does not match shape with {n} rows")

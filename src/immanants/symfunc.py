@@ -76,9 +76,10 @@ class SymFunc:
     def from_json(obj: dict) -> "SymFunc":
         coeffs = {}
         for key, val in obj["coeffs"].items():
-            coeffs[partition_from_key(key)] = (
-                int(val) if isinstance(val, int) else Fraction(val)
-            )
+            # A float (or bool) would enter exact arithmetic as whatever it rounded to.
+            if isinstance(val, bool) or not isinstance(val, (int, str)):
+                raise ValueError(f"coefficient is not an int or an exact string: {val!r}")
+            coeffs[partition_from_key(key)] = val if isinstance(val, int) else Fraction(val)
         return sym_func(obj["basis"], _as_ints((obj["degree"],))[0], coeffs)
 
     def __str__(self) -> str:

@@ -163,7 +163,7 @@ def test_verify_subcommand_ok(capsys):
 def test_verify_failure_exits_two(capsys, monkeypatch):
     failing = CheckReport("hook-expansion", instances=1,
                           failures=[{"w": [2, 1], "kostka": 0, "indicator_sum": 1}])
-    monkeypatch.setattr("immanants.cli.run_suites", lambda *a: [failing])
+    monkeypatch.setattr("immanants.verify.run_suites", lambda *a: [failing])
     code, out, _ = run_cli(capsys, "verify", "--suite", "hook")
     assert code == 2
     assert json.loads(out)[0]["failures"]

@@ -146,3 +146,12 @@ def test_symfunc_from_json_refuses_a_non_integral_degree():
     assert SymFunc.from_json(blob).coeffs == {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)}
     with pytest.raises(ValueError, match="not an integer: 2.5"):
         SymFunc.from_json({**blob, "degree": 2.5})
+
+
+@pytest.mark.parametrize("coeff", [0.1, 2.0, True])
+def test_symfunc_from_json_refuses_float_and_bool_coefficients(coeff):
+    blob = {"basis": "h", "degree": 1, "coeffs": {"[1]": 3}}
+    assert SymFunc.from_json(blob).coeffs == {(1,): 3}
+    assert SymFunc.from_json({**blob, "coeffs": {"[1]": "1/3"}}).coeffs == {(1,): Fraction(1, 3)}
+    with pytest.raises(ValueError, match=f"not an int or an exact string: {coeff!r}"):
+        SymFunc.from_json({**blob, "coeffs": {"[1]": coeff}})
