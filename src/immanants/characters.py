@@ -29,6 +29,12 @@ from .tableaux import (
 
 
 @cache
+def _class_set(n: int) -> frozenset[Partition]:
+    """The cycle types of S_n, as the key set every class function on S_n has."""
+    return frozenset(partitions_of(n))
+
+
+@cache
 def zee(rho: Partition) -> int:
     """Centralizer order: product of i^m_i * m_i! over part multiplicities."""
     out = 1
@@ -53,9 +59,8 @@ class ClassFunction:
     values: dict[Partition, int]
 
     def __post_init__(self):
-        expected = set(partitions_of(self.n))
-        if set(self.values) != expected:
-            missing = expected - set(self.values)
+        if self.values.keys() != _class_set(self.n):
+            missing = _class_set(self.n) - self.values.keys()
             raise ValueError(f"missing values for cycle types {sorted(missing)}")
 
     def __call__(self, rho) -> int:
@@ -196,27 +201,37 @@ def induction_product(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
 
 @dataclass(frozen=True)
 class HPositiveDecomposition:
-    """Expansion of a class function over the induced trivial basis."""
+    """Expansion of a class function over the induced trivial basis.
+
+    Coefficients are ints when the expansion is integral, and Fractions
+    otherwise (an int equals the Fraction of the same value).
+    """
 
     n: int
-    coefficients: dict[Partition, Fraction]
+    coefficients: dict[Partition, int | Fraction]
     is_integral: bool
     is_nonnegative: bool
 
-    def coefficient(self, lam) -> Fraction:
+    def coefficient(self, lam) -> int | Fraction:
         return self.coefficients[check_partition(lam)]
 
     def to_json(self) -> dict:
         coeffs = {}
-        for lam in partitions_of(self.n):
+        for lam, key in _partition_keys(self.n):
             c = self.coefficients[lam]
-            coeffs[partition_key(lam)] = int(c) if c.denominator == 1 else str(c)
+            coeffs[key] = int(c) if c.denominator == 1 else str(c)
         return {
             "n": self.n,
             "coefficients": coeffs,
             "integral": self.is_integral,
             "nonnegative": self.is_nonnegative,
         }
+
+
+@cache
+def _partition_keys(n: int) -> list[tuple[Partition, str]]:
+    """(lam, partition_key(lam)) over partitions_of(n), in that order."""
+    return [(lam, partition_key(lam)) for lam in partitions_of(n)]
 
 
 @cache
@@ -234,26 +249,29 @@ def h_positive_decomposition(chi: ClassFunction) -> HPositiveDecomposition:
     """Coefficients of chi over the induced trivial characters.
 
     The coefficient at lam is the inner product with the dual monomial
-    virtual character.  Non-integral coefficients mean chi is not a
-    virtual character; they are reported, not raised.  For integral
-    results the expansion is re-summed and checked against chi exactly.
+    virtual character, computed n!-scaled in integers.  Non-integral
+    coefficients mean chi is not a virtual character; they are reported as
+    Fractions, not raised.  Integral results are ints, and the expansion is
+    re-summed and checked against chi exactly.
     """
     n = chi.n
     classes = partitions_of(n)
     values = [chi.values[rho] for rho in classes]
     order = math.factorial(n)
-    coeffs = {
-        lam: Fraction(sum(map(mul, row, values)), order)
-        for lam, row in _weighted_monomial_rows(n).items()
+    scaled = {
+        lam: sum(map(mul, row, values)) for lam, row in _weighted_monomial_rows(n).items()
     }
-    integral = all(c.denominator == 1 for c in coeffs.values())
-    nonneg = all(c >= 0 for c in coeffs.values())
-    if integral:
-        recon = [0] * len(classes)
-        for lam, c in coeffs.items():
-            if c:
-                eta = induced_trivial_character(lam).values
-                recon = [r + int(c) * eta[rho] for r, rho in zip(recon, classes)]
-        if recon != values:
-            raise AssertionError("induced-trivial expansion failed to reconstruct input")
+    integral = all(s % order == 0 for s in scaled.values())
+    nonneg = all(s >= 0 for s in scaled.values())
+    if not integral:
+        coeffs = {lam: Fraction(s, order) for lam, s in scaled.items()}
+        return HPositiveDecomposition(n, coeffs, integral, nonneg)
+    coeffs = {lam: s // order for lam, s in scaled.items()}
+    recon = [0] * len(classes)
+    for lam, c in coeffs.items():
+        if c:
+            eta = induced_trivial_character(lam).values
+            recon = [r + c * eta[rho] for r, rho in zip(recon, classes)]
+    if recon != values:
+        raise AssertionError("induced-trivial expansion failed to reconstruct input")
     return HPositiveDecomposition(n, coeffs, integral, nonneg)

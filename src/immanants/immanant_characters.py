@@ -24,7 +24,6 @@ from .jacobitrudi import (
     NotHessenbergError,
     cycle_cover_counts,
     hess_prime,
-    hessenberg,
     hessenberg_from_skew,
     jt_matrix,
 )
@@ -158,18 +157,21 @@ class HookDecomposition:
         }
 
 
-def hook_decomposition(theta, shape: SkewShape) -> HookDecomposition:
-    """Expand the immanant character of a hook theta over lowered Hessenberg functions.
+def hook_decompositions(shape: SkewShape, thetas) -> dict[Partition, HookDecomposition]:
+    """Expand the immanant character at each hook theta over lowered Hessenberg functions.
 
     One summand per leg-sized subset S of the first n-1 columns: h' on S
     and h elsewhere, collected with multiplicities in first-seen order.  A
     leg longer than n-1 has no such subset, so its expansion is empty.
-    Requires a shape with at least one row and no empty rows; callers
-    must strip empty rows first (see reductions.remove_empty_rows).
+    Every theta is checked before any work, and h and h' are computed once
+    for all of them.  Requires a shape with at least one row and no empty
+    rows; callers must strip empty rows first (see reductions.remove_empty_rows).
     """
-    theta = check_partition(theta)
-    k = hook_leg(theta)
-    check_theta_size(theta, shape)
+    thetas = [check_partition(theta) for theta in thetas]
+    legs = {}
+    for theta in thetas:
+        legs[theta] = hook_leg(theta)
+        check_theta_size(theta, shape)
     if shape.has_empty_rows:
         raise ValueError("shape has empty rows; remove them first (remove_empty_rows)")
     n = shape.rows
@@ -177,15 +179,24 @@ def hook_decomposition(theta, shape: SkewShape) -> HookDecomposition:
         raise ValueError("the hook expansion needs a shape with at least one row")
     base = hessenberg_from_skew(shape)
     prime = hess_prime(shape)  # a row and no empty one, so h'(j) >= j and this cannot raise
-    collected: dict[tuple[int, ...], int] = {}  # first-seen order
-    for subset in combinations(range(n - 1), k):
-        values = list(base.values)
-        for j in subset:
-            values[j] = prime.values[j]
-        values = tuple(values)
-        collected[values] = collected.get(values, 0) + 1
-    summands = tuple((hessenberg(v), m) for v, m in collected.items())
-    return HookDecomposition(theta, shape, base, prime, k, summands)
+    out = {}
+    for theta, k in legs.items():
+        collected: dict[tuple[int, ...], int] = {}  # first-seen order
+        for subset in combinations(range(n - 1), k):
+            values = list(base.values)
+            for j in subset:
+                values[j] = prime.values[j]
+            values = tuple(values)
+            collected[values] = collected.get(values, 0) + 1
+        summands = tuple((HessenbergFunction(v), m) for v, m in collected.items())
+        out[theta] = HookDecomposition(theta, shape, base, prime, k, summands)
+    return out
+
+
+def hook_decomposition(theta, shape: SkewShape) -> HookDecomposition:
+    """The expansion at one hook theta; the one-theta case of `hook_decompositions`."""
+    theta = check_partition(theta)
+    return hook_decompositions(shape, (theta,))[theta]
 
 
 def collected_coefficient(decomp: HookDecomposition, h: HessenbergFunction) -> int:

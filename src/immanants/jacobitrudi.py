@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from operator import le
 from typing import TYPE_CHECKING
 
@@ -37,14 +38,21 @@ class HessenbergFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        values = self.values
+        n = len(values)
+        # One pass over the pairs i <= h(i), then h(i) <= h(i+1) and h(n) <= n.
+        if not all(map(le, chain(range(1, n + 1), values), chain(values, values[1:], (n,)))):
+            self._refuse()
+
+    def _refuse(self):
+        """Raise the NotHessenbergError naming the first invariant that fails."""
         n = len(self.values)
         for i, v in enumerate(self.values, start=1):
             if not i <= v <= n:
                 raise NotHessenbergError(
                     f"h({i}) = {v} violates {i} <= h({i}) <= {n} in {list(self.values)}"
                 )
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
-            raise NotHessenbergError(f"{list(self.values)} is not weakly increasing")
+        raise NotHessenbergError(f"{list(self.values)} is not weakly increasing")
 
     @property
     def n(self) -> int:
@@ -122,7 +130,7 @@ def _leading_run(shape: SkewShape, least: int) -> HessenbergFunction:
     """
     mu, nu = shape.padded()
     keys = [i - m for i, m in enumerate(mu)]
-    return hessenberg([bisect_right(keys, j - v - least) for j, v in enumerate(nu)])
+    return HessenbergFunction(tuple(bisect_right(keys, j - v - least) for j, v in enumerate(nu)))
 
 
 def hessenberg_from_skew(shape: SkewShape) -> HessenbergFunction:

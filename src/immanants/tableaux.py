@@ -72,7 +72,7 @@ def contains(inner: Partition, outer: Partition) -> bool:
 
 def is_hook(p: Partition) -> bool:
     """Hook shapes: (), (a), or (a, 1, ..., 1)."""
-    return all(x == 1 for x in p[1:])
+    return not p or p[1:].count(1) == len(p) - 1
 
 
 def hook_leg(p: Partition) -> int:

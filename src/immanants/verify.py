@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import compress, count, product
-from operator import getitem
+from operator import getitem, sub
 
 from .characters import (
     ClassFunction,
@@ -27,6 +27,7 @@ from .characters import (
 from .immanant_characters import (
     collected_coefficient,
     hook_decomposition,
+    hook_decompositions,
     immanant_character,
     immanant_characters,
     is_dahlberg_small,
@@ -468,18 +469,23 @@ def scan_records(max_n: int, max_size: int):
         shape_json = shape.to_json()
         h_values = list(hessenberg_from_skew(shape).values)
         mu, nu = shape.padded()
-        identity_content = tuple(m - v for m, v in zip(mu, nu))
-        for theta, gamma in immanant_characters(shape).items():
+        # The identity's content is the row widths, all positive on a connected shape.
+        widths = tuple(sorted(map(sub, mu, nu), reverse=True))
+        gammas = immanant_characters(shape)
+        hooks = hook_decompositions(shape, filter(is_hook, gammas))
+        for theta, gamma in gammas.items():
             dec = h_positive_decomposition(gamma)
             record = {
                 "shape": shape_json,
                 "theta": list(theta),
-                "hook": is_hook(theta),
+                "hook": theta in hooks,
                 "h": h_values,
-                "identity_kostka": kostka(theta, identity_content),
+                "identity_kostka": _ssyt_count(theta, (), widths),
                 "eta_expansion": dec.to_json(),
                 "h_positive": dec.is_integral and dec.is_nonnegative,
             }
             if record["hook"]:
-                record["summands"] = hook_decomposition(theta, shape).to_json()["summands"]
+                record["summands"] = [
+                    {"h": list(h.values), "mult": m} for h, m in hooks[theta].summands
+                ]
             yield record

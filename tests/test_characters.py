@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from immanants import (
     zee,
     zero_character,
 )
+from immanants.characters import HPositiveDecomposition, _weighted_monomial_rows
 from immanants.symfunc import convert, frobenius, frobenius_inverse, multiply, sym_func
 
 S3_CLASSES = [(1, 1, 1), (2, 1), (3,)]
@@ -276,6 +279,42 @@ def test_h_positive_matches_inner_products_with_monomials(chi):
     assert list(dec.coefficients) == list(partitions_of(chi.n))
     assert dec.is_integral == all(c.denominator == 1 for c in want.values())
     assert dec.is_nonnegative == all(c >= 0 for c in want.values())
+
+
+def fraction_h_positive_decomposition(chi):
+    """The Fraction body `h_positive_decomposition` had before it computed in integers."""
+    n = chi.n
+    classes = partitions_of(n)
+    values = [chi.values[rho] for rho in classes]
+    order = math.factorial(n)
+    coeffs = {
+        lam: Fraction(sum(map(mul, row, values)), order)
+        for lam, row in _weighted_monomial_rows(n).items()
+    }
+    integral = all(c.denominator == 1 for c in coeffs.values())
+    nonneg = all(c >= 0 for c in coeffs.values())
+    if integral:
+        recon = [0] * len(classes)
+        for lam, c in coeffs.items():
+            if c:
+                eta = induced_trivial_character(lam).values
+                recon = [r + int(c) * eta[rho] for r, rho in zip(recon, classes)]
+        if recon != values:
+            raise AssertionError("induced-trivial expansion failed to reconstruct input")
+    return HPositiveDecomposition(n, coeffs, integral, nonneg)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(integer_class_functions())
+def test_h_positive_in_integers_matches_the_fraction_body(chi):
+    dec, want = h_positive_decomposition(chi), fraction_h_positive_decomposition(chi)
+    assert dec.coefficients == want.coefficients
+    assert list(dec.coefficients) == list(want.coefficients)
+    assert (dec.is_integral, dec.is_nonnegative) == (want.is_integral, want.is_nonnegative)
+    assert json.dumps(dec.to_json()) == json.dumps(want.to_json())
+    # Integral expansions hold ints, the others Fractions.
+    kind = int if dec.is_integral else Fraction
+    assert all(type(c) is kind for c in dec.coefficients.values())
 
 
 def test_h_positive_reconstruction_check_raises(monkeypatch):

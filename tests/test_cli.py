@@ -265,6 +265,29 @@ def test_sweep_stdout_is_byte_identical(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
+# Digests of the two operations of the benchmark's sweep workload, recorded
+# before the hook expansions and h-positive coefficients were computed in
+# integers once per shape; they read the same under any hash seed.
+BENCH_SWEEP_SHA256 = {
+    ("verify", "--suite", "all", "--max-n", "5", "--max-size", "9"):
+        "d972087424ba5dc6ed2411c7633151b2d116ece18bc444dda6caa08cbbf6221f",
+    ("scan", "--max-n", "5", "--max-size", "8"):
+        "6f2e38c8f92220cf336adb94135efb138bc32018754112c71a0bb96778280847",
+}
+
+
+@pytest.mark.parametrize("seed", ["0", "123"])
+def test_bench_sweep_stdout_is_byte_identical(seed):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    for argv, want in BENCH_SWEEP_SHA256.items():
+        done = subprocess.run([sys.executable, "-m", "immanants.cli", *argv],
+                              capture_output=True, env=env, cwd=root)
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(done.stdout).hexdigest() == want, argv
+
+
 # Digests of `immanant` stdout in every basis, recorded before the change of
 # basis was reduced to one transition matrix per basis and direction.
 IMMANANT_SHA256 = {

@@ -17,6 +17,7 @@ from immanants import (
     hessenberg_from_skew,
     hook_decomposition,
     hook_partition,
+    hooks_of,
     immanant,
     immanant_character,
     immanant_character_from_components,
@@ -31,7 +32,9 @@ from immanants import (
     skew_shape,
     stanley_stembridge_character,
 )
+import immanants.jacobitrudi
 from immanants.characters import zee
+from immanants.immanant_characters import hook_decompositions
 from immanants.permutations import symmetric_group
 
 S4_CLASSES = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
@@ -327,6 +330,34 @@ def test_hook_decomposition_matches_corner_lowering_oracle():
                         assert collected_coefficient(dec, h) == m, (shape, leg, h)
                     pairs += 1
     assert pairs == 8965
+
+
+def test_hook_decompositions_match_one_theta_at_a_time():
+    pairs = 0
+    for n in range(1, 5):
+        for size in range(n, 9):
+            for shape in connected_skew_shapes(n, size):
+                hooks = hooks_of(size)  # legs past n - 1 included: their expansion is empty
+                decomps = hook_decompositions(shape, hooks)
+                assert list(decomps) == list(hooks)
+                for theta in hooks:
+                    assert decomps[theta] == hook_decomposition(theta, shape), (shape, theta)
+                    pairs += 1
+    assert pairs == 2141
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [((2, 2, 1), "is not a hook"), ((5, 1, 1), "theta has size 7"), ((2, 4), "not weakly decreasing")],
+)
+def test_hook_decompositions_check_every_theta_before_any_work(monkeypatch, bad, message):
+    def no_work(shape, least):
+        raise AssertionError("h or h' computed before every theta was checked")
+
+    monkeypatch.setattr(immanants.jacobitrudi, "_leading_run", no_work)
+    shape = skew_shape((3, 3, 1), (1, 1))  # 5 boxes
+    with pytest.raises(ValueError, match=message):
+        hook_decompositions(shape, [(5,), (4, 1), bad])
 
 
 # ---------------------------------------------------------------- predicates

@@ -1,8 +1,12 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immanants import (
+    HessenbergFunction,
     NotHessenbergError,
     connected_skew_shapes,
     content_vector,
@@ -55,6 +59,53 @@ def test_hessenberg_function_validation():
         hessenberg((2, 2, 4))
     h = hessenberg((3, 3, 4, 4))
     assert h.n == 4 and h(2) == 3 and h.max_excess == 2
+
+
+def loop_hessenberg_check(values):
+    """The loop `HessenbergFunction.__post_init__` ran before it became one `map(le, ...)` pass."""
+    n = len(values)
+    for i, v in enumerate(values, start=1):
+        if not i <= v <= n:
+            raise NotHessenbergError(
+                f"h({i}) = {v} violates {i} <= h({i}) <= {n} in {list(values)}"
+            )
+    if any(a > b for a, b in zip(values, values[1:])):
+        raise NotHessenbergError(f"{list(values)} is not weakly increasing")
+
+
+@st.composite
+def near_hessenberg_vectors(draw):
+    """A Hessenberg function with up to two entries moved, some out of range or out of order."""
+    n = draw(st.integers(0, 7))
+    drawn = draw(st.lists(st.integers(1, max(n, 1)), min_size=n, max_size=n))
+    values = [max(v, i) for i, v in enumerate(sorted(drawn), start=1)]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        values[draw(st.integers(0, n - 1))] += draw(st.integers(-2, 2))
+    return tuple(values)
+
+
+def refusal(check, values):
+    try:
+        check(values)
+    except NotHessenbergError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(near_hessenberg_vectors())
+def test_hessenberg_check_accepts_and_words_errors_as_the_loop(values):
+    assert refusal(HessenbergFunction, values) == refusal(loop_hessenberg_check, values)
+
+
+def test_hessenberg_check_agrees_with_the_loop_exhaustively():
+    accepted = 0
+    for n in range(5):
+        for values in product(range(-1, n + 2), repeat=n):
+            want = refusal(loop_hessenberg_check, values)
+            assert refusal(HessenbergFunction, values) == want, values
+            accepted += want is None
+    assert accepted == 1 + 1 + 2 + 5 + 14  # Catalan numbers: Hessenberg functions on [n]
 
 
 def test_hessenberg_refuses_non_integral_values():

@@ -226,6 +226,16 @@ def test_hooks():
     assert hooks_of(3) == ((3,), (2, 1), (1, 1, 1))
 
 
+def test_is_hook_agrees_with_the_loop_it_replaced():
+    def loop(p):
+        return all(x == 1 for x in p[1:])
+
+    for length in range(5):
+        for p in product(range(4), repeat=length):
+            assert is_hook(p) == loop(p), p
+            assert is_hook(list(p)) == loop(p), p
+
+
 # ----------------------------------------------------------------- kostka
 
 def test_kostka_golden_hook_example():

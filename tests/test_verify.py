@@ -1,18 +1,22 @@
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from operator import getitem
 
 import pytest
 
+import immanants.jacobitrudi
 import immanants.verify
 from immanants import (
     ClassFunction,
+    SkewShape,
     collected_coefficient,
     connected_skew_shapes,
     hessenberg,
     hook_decomposition,
     hook_partition,
+    is_hook,
     jt_matrix,
     kostka,
     partitions_of,
@@ -233,6 +237,31 @@ def test_scan_records_structure_and_determinism():
         else:
             assert "summands" not in record
     assert sizes == {1, 2, 3, 4}
+
+
+def test_scan_identity_kostka_matches_the_public_wrapper():
+    records = 0
+    for record in scan_records(4, 7):
+        shape = SkewShape.from_json(record["shape"])
+        widths = [shape.row_width(i) for i in range(1, shape.rows + 1)]
+        assert record["identity_kostka"] == kostka(record["theta"], widths), record
+        assert record["hook"] == is_hook(tuple(record["theta"]))
+        records += 1
+    assert records > 1000
+
+
+def test_scan_computes_h_and_h_prime_once_per_shape(monkeypatch):
+    real_leading_run = immanants.jacobitrudi._leading_run
+    calls = Counter()
+
+    def counted(shape, least):
+        calls[shape] += 1
+        return real_leading_run(shape, least)
+
+    monkeypatch.setattr(immanants.jacobitrudi, "_leading_run", counted)
+    shapes = {SkewShape.from_json(record["shape"]) for record in scan_records(4, 7)}
+    # The record's "h", then h and h' for every hook theta of the shape at once.
+    assert set(calls) == shapes and max(calls.values()) <= 3
 
 
 @pytest.mark.parametrize("sabotage", SABOTAGES, ids=lambda f: f.__name__ if f else "true")
