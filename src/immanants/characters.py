@@ -11,14 +11,14 @@ Kostka matrix, so everything stays in exact integer arithmetic).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .tableaux import (
     Partition,
     _as_ints,
+    _Frozen,
     check_partition,
     inverse_kostka_matrix,
     kostka_matrix,
@@ -26,6 +26,9 @@ from .tableaux import (
     partition_key,
     partitions_of,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction  # imported where one is built: `gamma` never needs it
 
 
 @cache
@@ -51,17 +54,28 @@ def class_size(rho: Partition) -> int:
     return math.factorial(sum(rho)) // zee(rho)
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(_Frozen):
     """An integer-valued function on the cycle types of S_n."""
 
-    n: int
-    values: dict[Partition, int]
+    __slots__ = ("n", "values")
 
-    def __post_init__(self):
-        if self.values.keys() != _class_set(self.n):
-            missing = _class_set(self.n) - self.values.keys()
-            raise ValueError(f"missing values for cycle types {sorted(missing)}")
+    def __init__(self, n: int, values: dict[Partition, int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+        if values.keys() != _class_set(n):
+            self._refuse()
+
+    def _refuse(self):
+        """Raise the ValueError naming the keys that are not cycle types of S_n, then
+        the cycle types that have no value."""
+        classes, keys = _class_set(self.n), self.values.keys()
+        unexpected, missing = keys - classes, classes - keys
+        problems = []
+        if unexpected:
+            problems.append(f"unexpected cycle types {sorted(unexpected, key=repr)} for S_{self.n}")
+        if missing:
+            problems.append(f"missing values for cycle types {sorted(missing)}")
+        raise ValueError("; ".join(problems))
 
     def __call__(self, rho) -> int:
         return self.values[check_partition(rho)]
@@ -175,6 +189,8 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> Fraction:
     """(1/n!) sum over S_n of chi*psi, evaluated class by class."""
     if chi.n != psi.n:
         raise ValueError(f"mismatched group sizes {chi.n} and {psi.n}")
+    from fractions import Fraction
+
     total = sum(class_size(rho) * chi.values[rho] * psi.values[rho] for rho in chi.values)
     return Fraction(total, math.factorial(chi.n))
 
@@ -199,18 +215,26 @@ def induction_product(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
     return ClassFunction(n, values)
 
 
-@dataclass(frozen=True)
-class HPositiveDecomposition:
+class HPositiveDecomposition(_Frozen):
     """Expansion of a class function over the induced trivial basis.
 
     Coefficients are ints when the expansion is integral, and Fractions
     otherwise (an int equals the Fraction of the same value).
     """
 
-    n: int
-    coefficients: dict[Partition, int | Fraction]
-    is_integral: bool
-    is_nonnegative: bool
+    __slots__ = ("n", "coefficients", "is_integral", "is_nonnegative")
+
+    def __init__(
+        self,
+        n: int,
+        coefficients: dict[Partition, int | Fraction],
+        is_integral: bool,
+        is_nonnegative: bool,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "is_integral", is_integral)
+        object.__setattr__(self, "is_nonnegative", is_nonnegative)
 
     def coefficient(self, lam) -> int | Fraction:
         return self.coefficients[check_partition(lam)]
@@ -264,6 +288,8 @@ def h_positive_decomposition(chi: ClassFunction) -> HPositiveDecomposition:
     integral = all(s % order == 0 for s in scaled.values())
     nonneg = all(s >= 0 for s in scaled.values())
     if not integral:
+        from fractions import Fraction
+
         coeffs = {lam: Fraction(s, order) for lam, s in scaled.items()}
         return HPositiveDecomposition(n, coeffs, integral, nonneg)
     coeffs = {lam: s // order for lam, s in scaled.items()}

@@ -15,7 +15,6 @@ whose bottom nonzero entry is the constant 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .characters import ClassFunction, zee, zero_character
@@ -31,6 +30,7 @@ from .permutations import Permutation
 from .tableaux import (
     Partition,
     SkewShape,
+    _Frozen,
     _ssyt_count,
     check_partition,
     hook_leg,
@@ -121,16 +121,26 @@ def stanley_stembridge_character(h: HessenbergFunction) -> ClassFunction:
     return ClassFunction(n, values)
 
 
-@dataclass(frozen=True)
-class HookDecomposition:
+class HookDecomposition(_Frozen):
     """Multiset of Hessenberg functions expanding a hook immanant character."""
 
-    theta: Partition
-    shape: SkewShape
-    base: HessenbergFunction
-    prime: HessenbergFunction
-    leg: int
-    summands: tuple[tuple[HessenbergFunction, int], ...]
+    __slots__ = ("theta", "shape", "base", "prime", "leg", "summands")
+
+    def __init__(
+        self,
+        theta: Partition,
+        shape: SkewShape,
+        base: HessenbergFunction,
+        prime: HessenbergFunction,
+        leg: int,
+        summands: tuple[tuple[HessenbergFunction, int], ...],
+    ):
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "leg", leg)
+        object.__setattr__(self, "summands", summands)
 
     @property
     def total_multiplicity(self) -> int:

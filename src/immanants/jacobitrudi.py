@@ -13,7 +13,6 @@ cycles, rather than a pass over S_n).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain
 from operator import le
 from typing import TYPE_CHECKING
@@ -21,7 +20,7 @@ from typing import TYPE_CHECKING
 from .characters import ClassFunction
 # cycle_type is unused here; bench/traced_cli.py rebinds it on this module at start-up.
 from .permutations import Permutation, cycle_type  # noqa: F401
-from .tableaux import Partition, SkewShape, _as_ints
+from .tableaux import Partition, SkewShape, _as_ints, _Frozen
 
 if TYPE_CHECKING:
     from .symfunc import SymFunc
@@ -31,14 +30,13 @@ class NotHessenbergError(ValueError):
     """Raised when a vector fails the Hessenberg function invariants."""
 
 
-@dataclass(frozen=True)
-class HessenbergFunction:
+class HessenbergFunction(_Frozen):
     """A weakly increasing h: [n] -> [n] with h(i) >= i, stored as a vector."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        values = self.values
+    def __init__(self, values: tuple[int, ...]):
+        object.__setattr__(self, "values", values)
         n = len(values)
         # One pass over the pairs i <= h(i), then h(i) <= h(i+1) and h(n) <= n.
         if not all(map(le, chain(range(1, n + 1), values), chain(values, values[1:], (n,)))):
@@ -82,12 +80,14 @@ def hess_indicator(h: HessenbergFunction, w: Permutation) -> int:
     return 1 if h.admits(w) else 0
 
 
-@dataclass(frozen=True)
-class JTMatrix:
+class JTMatrix(_Frozen):
     """Subscript grid of the Jacobi-Trudi matrix of a skew shape."""
 
-    n: int
-    sub: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "sub")
+
+    def __init__(self, n: int, sub: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sub", sub)
 
     def entry(self, i: int, j: int) -> int:
         """Subscript at row i, column j (1-based)."""

@@ -10,7 +10,6 @@ and s bases, rationals in the p basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import ClassFunction, character_table, zee
@@ -18,6 +17,7 @@ from .tableaux import (
     Partition,
     SkewShape,
     _as_ints,
+    _Frozen,
     check_partition,
     inverse_kostka_matrix,
     kostka_matrix,
@@ -39,13 +39,15 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} exceeds the supported bound {MAX_DEGREE}")
 
 
-@dataclass(frozen=True)
-class SymFunc:
+class SymFunc(_Frozen):
     """A homogeneous symmetric function in one declared basis."""
 
-    basis: str
-    degree: int
-    coeffs: dict[Partition, "int | Fraction"]
+    __slots__ = ("basis", "degree", "coeffs")
+
+    def __init__(self, basis: str, degree: int, coeffs: dict[Partition, "int | Fraction"]):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coefficient(self, lam) -> "int | Fraction":
         return self.coeffs.get(check_partition(lam), 0)

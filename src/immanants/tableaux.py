@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cache
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -99,8 +99,60 @@ def hooks_of(n: int) -> tuple[Partition, ...]:
     return tuple(hook_partition(n, k) for k in range(n))
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class _Record:
+    """A record whose fields are the names in its class's `__slots__`.
+
+    Equality and repr follow a dataclass's: a record equals only records of
+    its own class with equal fields, and reads `Name(field=value, ...)`.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # mutable; `_Frozen` hashes the fields
+
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        if not names:
+            return
+        get = attrgetter(*names)
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return get(self) == get(other)
+
+        cls.__eq__ = __eq__
+        # The fields as a tuple, even for a one-field record.
+        cls._astuple = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._astuple(self)))
+        return f"{self.__class__.__qualname__}({pairs})"
+
+    def __reduce__(self):
+        # Copy and pickle through __init__: the default restores slots by setattr,
+        # which a frozen record refuses.
+        return self.__class__, self._astuple(self)
+
+
+class _Frozen(_Record):
+    """An immutable record, hashed as the tuple of its fields (as a frozen dataclass).
+
+    Subclasses set their fields in `__init__` with `object.__setattr__`.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SkewShape(_Frozen):
     """A skew diagram outer/inner considered with a fixed number of rows.
 
     `rows` may exceed the number of nonempty rows; the extra rows are
@@ -109,9 +161,12 @@ class SkewShape:
     containment and normalizes the parts.
     """
 
-    outer: Partition
-    inner: Partition
-    rows: int
+    __slots__ = ("outer", "inner", "rows")
+
+    def __init__(self, outer: Partition, inner: Partition, rows: int):
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:

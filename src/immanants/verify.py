@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import compress, count, product
 from operator import getitem, sub
 
@@ -26,7 +25,6 @@ from .characters import (
 )
 from .immanant_characters import (
     collected_coefficient,
-    hook_decomposition,
     hook_decompositions,
     immanant_character,
     immanant_characters,
@@ -44,6 +42,7 @@ from .reductions import (
 from .symfunc import convert, skew_schur
 from .tableaux import (
     SkewShape,
+    _Record,
     _ssyt_count,
     check_partition,
     connected_skew_shapes,
@@ -57,13 +56,15 @@ from .tableaux import (
 )
 
 
-@dataclass
-class CheckReport:
-    """Outcome of one named verification check."""
+class CheckReport(_Record):
+    """Outcome of one named verification check; mutable, so not hashable."""
 
-    name: str
-    instances: int = 0
-    failures: list[dict] = field(default_factory=list)
+    __slots__ = ("name", "instances", "failures")
+
+    def __init__(self, name: str, instances: int = 0, failures: list[dict] | None = None):
+        self.name = name
+        self.instances = instances
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -99,10 +100,10 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
     by one only to report witnesses, which come in theta order.
     """
     thetas = [check_partition(theta) for theta in thetas]
-    decomps = [hook_decomposition(theta, shape) for theta in thetas]
     report = CheckReport("hook-expansion")
-    if not decomps:
+    if not thetas:
         return report
+    decomps = hook_decompositions(shape, thetas)
     n = shape.rows
     perms, classes, below = sn_layout(n)
     # content_vector(shape, w) holds the subscript at row w(i), column i; with
@@ -116,7 +117,8 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
     # a negative subscript is a zero matrix entry on the diagonal of w.
     contents = [None if key[0] < 0 else tuple(filter(None, reversed(key))) for key in ids]
     everyone = (1 << len(perms)) - 1
-    for theta, decomp in zip(thetas, decomps):
+    for theta in thetas:
+        decomp = decomps[theta]
         where = {"shape": shape.to_json(), "theta": list(theta)}
         k = decomp.leg
         base = decomp.base.values

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -7,6 +8,17 @@ from pathlib import Path
 import pytest
 
 import immanants
+from immanants import (
+    CheckReport,
+    hessenberg,
+    h_positive_decomposition,
+    hook_decomposition,
+    jt_matrix,
+    sign_character,
+    skew_shape,
+    sym_func,
+    trivial_character,
+)
 
 # The public names of the package; removing one breaks callers of the library.
 PUBLIC_NAMES = [
@@ -70,25 +82,36 @@ assert immanants.immanant_characters is module.immanant_characters
 LAYERS = {"characters", "immanant_characters", "jacobitrudi", "permutations", "reductions",
           "symfunc", "tableaux", "verify"}
 
-# Runs `python -m immanants.cli ARG...` in-process, then prints its exit code and the
-# immanants submodules it loaded.
-RUN_CLI_AS_MAIN = """
+# The imports RUN_CLI_AS_MAIN needs; an interpreter that runs only these is the
+# baseline for what a command loads.
+HARNESS = """
 import io, json, runpy, sys
 from contextlib import redirect_stdout
+"""
+
+# Runs `python -m immanants.cli ARG...` in-process, then prints its exit code and the
+# modules it loaded.
+RUN_CLI_AS_MAIN = HARNESS + """
 code = 0
 with redirect_stdout(io.StringIO()):
     try:
         runpy.run_module("immanants.cli", run_name="__main__")
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(m[10:] for m in sys.modules if m.startswith("immanants."))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def cli_loads(*argv: str) -> set:
+def cli_modules(*argv: str) -> set:
+    """Every module loaded once the command has run."""
     code, loaded = json.loads(run_fresh(RUN_CLI_AS_MAIN, *argv))
     assert code == 0, argv
     return set(loaded)
+
+
+def cli_loads(*argv: str) -> set:
+    """The immanants submodules the command loads."""
+    return {m[10:] for m in cli_modules(*argv) if m.startswith("immanants.")}
 
 
 def test_each_subcommand_loads_only_the_layers_it_runs():
@@ -109,3 +132,85 @@ from immanants import *
 print(all(name in globals() for name in immanants.__all__))
 """)
     assert out == "[]\nimmanants.verify\nTrue\n"
+
+
+# One command per subcommand; each must start without the standard library's heavier
+# modules, and the first five without `fractions`, since none of them builds a Fraction.
+SUBCOMMANDS = [
+    ("kostka", "--theta", "2,1", "--content", "1,1,1"),
+    ("matrix", "--outer", "3,2", "--inner", "1"),
+    ("hessenberg", "--outer", "3,3,3,1", "--inner", "1,1"),
+    ("gamma", "--outer", "3,2", "--theta", "4,1"),
+    ("decompose", "--outer", "3,2", "--theta", "4,1"),
+    ("immanant", "--outer", "2,2,2", "--inner", "1", "--char", "sgn"),
+    ("verify", "--suite", "kostka", "--max-n", "2", "--max-size", "3"),
+    ("scan", "--max-n", "2", "--max-size", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_subcommands_start_without_dataclasses_inspect_or_fractions(argv):
+    # What the command loads beyond a bare interpreter started the same way.
+    bare = json.loads(run_fresh(HARNESS + "print(json.dumps(sorted(sys.modules)))"))
+    loaded = cli_modules(*argv) - set(bare)
+    assert not loaded & {"dataclasses", "inspect"}
+    if argv[0] in ("kostka", "matrix", "hessenberg", "gamma", "decompose"):
+        assert "fractions" not in loaded
+
+
+_SHAPE = skew_shape((3, 2), (1,))
+
+# One instance of every record class, its field names in order, and its exact repr.
+RECORDS = [
+    (_SHAPE, ("outer", "inner", "rows"), "SkewShape(outer=(3, 2), inner=(1,), rows=2)"),
+    (hessenberg((2, 3, 3)), ("values",), "HessenbergFunction(values=(2, 3, 3))"),
+    (jt_matrix(skew_shape((2, 2), (1,))), ("n", "sub"), "JTMatrix(n=2, sub=((1, 3), (0, 2)))"),
+    (trivial_character(2), ("n", "values"), "ClassFunction(n=2, values={(2,): 1, (1, 1): 1})"),
+    (h_positive_decomposition(sign_character(2)),
+     ("n", "coefficients", "is_integral", "is_nonnegative"),
+     "HPositiveDecomposition(n=2, coefficients={(2,): -1, (1, 1): 1}, is_integral=True, "
+     "is_nonnegative=False)"),
+    (hook_decomposition((3, 1), _SHAPE), ("theta", "shape", "base", "prime", "leg", "summands"),
+     "HookDecomposition(theta=(3, 1), shape=SkewShape(outer=(3, 2), inner=(1,), rows=2), "
+     "base=HessenbergFunction(values=(2, 2)), prime=HessenbergFunction(values=(1, 2)), leg=1, "
+     "summands=((HessenbergFunction(values=(1, 2)), 1),))"),
+    (sym_func("s", 2, {(2,): 1, (1, 1): -2}), ("basis", "degree", "coeffs"),
+     "SymFunc(basis='s', degree=2, coeffs={(2,): 1, (1, 1): -2})"),
+    (CheckReport("hook-expansion", 2, [{"w": [2, 1]}]), ("name", "instances", "failures"),
+     "CheckReport(name='hook-expansion', instances=2, failures=[{'w': [2, 1]}])"),
+]
+
+
+@pytest.mark.parametrize("record, names, text", RECORDS,
+                         ids=[type(r).__name__ for r, _, _ in RECORDS])
+def test_records_compare_hash_and_print_as_frozen_dataclasses(record, names, text):
+    cls = type(record)
+    fields = tuple(getattr(record, name) for name in names)
+    # Equal within the class, built positionally or by keyword; never equal to a tuple.
+    assert cls(*fields) == record == cls(**dict(zip(names, fields)))
+    assert record != fields and fields != record
+    assert copy.copy(record) == record == copy.deepcopy(record)
+    assert repr(record) == text
+    if cls is CheckReport:
+        # Mutable, so unhashable, and each report starts with its own failure list.
+        with pytest.raises(TypeError):
+            hash(record)
+        record.instances += 1
+        assert record.instances == 3
+        fresh, other = CheckReport("a"), CheckReport("a")
+        fresh.failures.append({})
+        assert other.failures == [] and fresh != other
+        return
+    try:
+        expected = hash(fields)
+    except TypeError:  # a dict field: unhashable, like the tuple of the fields
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in names) == fields

@@ -91,6 +91,17 @@ def test_class_function_requires_all_cycle_types():
         ClassFunction(3, {(3,): 1})
 
 
+def test_class_function_names_unexpected_and_missing_cycle_types():
+    with pytest.raises(ValueError) as info:
+        ClassFunction(2, {(2,): 1, (1, 1): 1, (3,): 5})
+    assert str(info.value) == "unexpected cycle types [(3,)] for S_2"
+    with pytest.raises(ValueError) as info:
+        ClassFunction(2, {(1, 1): 1, (3,): 5, (2, 1): 0})
+    assert str(info.value) == (
+        "unexpected cycle types [(2, 1), (3,)] for S_2; missing values for cycle types [(2,)]"
+    )
+
+
 def test_class_function_arithmetic_and_json():
     a = trivial_character(3)
     b = sign_character(3)

@@ -288,6 +288,32 @@ def test_bench_sweep_stdout_is_byte_identical(seed):
         assert hashlib.sha256(done.stdout).hexdigest() == want, argv
 
 
+# Digests of the benchmark's wide and tall operations in their canonical form (no
+# rotation, no shift), as the benchmark's reference table holds them; a drift in the
+# repr, hash or iteration order of a record shows here before the benchmark runs.
+BENCH_WIDE_TALL_SHA256 = {
+    ("gamma", "--outer", "5,5,5,5,5,5", "--inner", "3,1", "--theta", "10,8,8"):
+        "f43420623793a0e1e4530951795d4f983ad38eabb4894e61e6d545b03dcc8553",
+    ("gamma", "--outer", "3,3,3,3,3,3,3", "--inner", "1,1", "--theta", "16,1,1,1"):
+        "707f28e4661b1ea77f41dad8f04b916ee0f764199b2cff59707240008ccd6ff8",
+    ("gamma", "--outer", "4,4,4,4,4,4", "--inner", "2", "--theta", "8,8,6"):
+        "d6765b3faea8751171a36a832a8091d1b21bbd05c40ffad47864702816451ed8",
+    ("gamma", "--outer", "2,2,2,2,2,2,2,2,2", "--inner", "1", "--theta", "17"):
+        "9f219bedd08009d38f1fde16e4b5746ad88b3c653d5f034664883e6f7d0571eb",
+    ("gamma", "--outer", "2,2,2,2,2,2,2,2,1", "--inner", "1", "--theta", "15,1"):
+        "7e3e7dc78d4b20f9532079302a4ddf64dc7a6fc8950bb34c33efcc53af2d05d7",
+    ("immanant", "--outer", "2,2,2,2,2,2,2,2,2,2", "--inner", "1", "--char", "sgn"):
+        "239d2fe2c5a9f1c520db2128ed775e9f5b66a2edd44b9991b6b807466970c933",
+}
+
+
+@pytest.mark.parametrize("argv", BENCH_WIDE_TALL_SHA256, ids=" ".join)
+def test_bench_wide_and_tall_stdout_is_byte_identical(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0, argv
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_WIDE_TALL_SHA256[argv]
+
+
 # Digests of `immanant` stdout in every basis, recorded before the change of
 # basis was reduced to one transition matrix per basis and direction.
 IMMANANT_SHA256 = {

@@ -62,7 +62,7 @@ def test_hessenberg_function_validation():
 
 
 def loop_hessenberg_check(values):
-    """The loop `HessenbergFunction.__post_init__` ran before it became one `map(le, ...)` pass."""
+    """The loop the `HessenbergFunction` constructor ran before it became one `map(le, ...)` pass."""
     n = len(values)
     for i, v in enumerate(values, start=1):
         if not i <= v <= n:

@@ -1,7 +1,6 @@
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 from operator import getitem
 
 import pytest
@@ -10,6 +9,7 @@ import immanants.jacobitrudi
 import immanants.verify
 from immanants import (
     ClassFunction,
+    HookDecomposition,
     SkewShape,
     collected_coefficient,
     connected_skew_shapes,
@@ -102,13 +102,20 @@ def per_permutation_hook_check(shape, thetas, decompose=hook_decomposition):
     return report
 
 
+def with_summands(decomp, summands):
+    """The same hook expansion with other summands."""
+    return HookDecomposition(
+        decomp.theta, decomp.shape, decomp.base, decomp.prime, decomp.leg, summands
+    )
+
+
 def drop_first_summand(decomp):
-    return replace(decomp, summands=decomp.summands[1:])
+    return with_summands(decomp, decomp.summands[1:])
 
 
 def bump_first_multiplicity(decomp):
     (h, mult), *rest = decomp.summands
-    return replace(decomp, summands=((h, mult + 1), *rest))
+    return with_summands(decomp, ((h, mult + 1), *rest))
 
 
 def move_first_summand_outside_sandwich(decomp):
@@ -116,7 +123,7 @@ def move_first_summand_outside_sandwich(decomp):
     n, base = decomp.shape.rows, decomp.base.values
     for values in ((n,) * n, tuple(range(1, n + 1))):
         if not all(b - 1 <= v <= b for v, b in zip(values, base)):
-            return replace(decomp, summands=((hessenberg(values), 1), *decomp.summands[1:]))
+            return with_summands(decomp, ((hessenberg(values), 1), *decomp.summands[1:]))
     return decomp
 
 
@@ -172,14 +179,15 @@ def test_per_shape_hook_check_blames_only_the_broken_theta(monkeypatch):
     shape = skew_shape((3, 3, 3, 1), (1, 1))
     hooks = [hook_partition(shape.size, k) for k in range(shape.rows)]
     broken = hooks[1]
+    real_hook_decompositions = immanants.verify.hook_decompositions
 
-    def drop_one_summand(theta, shape):
-        decomp = hook_decomposition(theta, shape)
-        if tuple(theta) == broken:
-            decomp = replace(decomp, summands=decomp.summands[1:])
-        return decomp
+    def drop_one_summand(shape, thetas):
+        decomps = real_hook_decompositions(shape, thetas)
+        if broken in decomps:
+            decomps[broken] = drop_first_summand(decomps[broken])
+        return decomps
 
-    monkeypatch.setattr("immanants.verify.hook_decomposition", drop_one_summand)
+    monkeypatch.setattr("immanants.verify.hook_decompositions", drop_one_summand)
     report = verify_hook_decompositions(shape, hooks)
     assert report.instances == len(hooks)
     assert {tuple(f["theta"]) for f in report.failures} == {broken}
@@ -264,13 +272,34 @@ def test_scan_computes_h_and_h_prime_once_per_shape(monkeypatch):
     assert set(calls) == shapes and max(calls.values()) <= 3
 
 
+def test_hook_suite_computes_h_and_h_prime_once_per_shape(monkeypatch):
+    real_leading_run = immanants.jacobitrudi._leading_run
+    calls = Counter()
+
+    def counted(shape, least):
+        calls[shape] += 1
+        return real_leading_run(shape, least)
+
+    monkeypatch.setattr(immanants.jacobitrudi, "_leading_run", counted)
+    assert suite_hook(4, 7).ok
+    # h and h' once for all the hook thetas of a shape, not once per theta.
+    assert set(calls) == set(_bounded_connected_shapes(4, 7)) and max(calls.values()) <= 2
+
+
 @pytest.mark.parametrize("sabotage", SABOTAGES, ids=lambda f: f.__name__ if f else "true")
 def test_bitmask_hook_check_matches_the_per_permutation_oracle(monkeypatch, sabotage):
-    def decompose(theta, shape):
-        decomp = hook_decomposition(theta, shape)
+    def sabotaged(decomp):
         return sabotage(decomp) if sabotage and decomp.summands else decomp
 
-    monkeypatch.setattr("immanants.verify.hook_decomposition", decompose)
+    def decompose(theta, shape):
+        return sabotaged(hook_decomposition(theta, shape))
+
+    real_hook_decompositions = immanants.verify.hook_decompositions
+
+    def decompose_all(shape, thetas):
+        return {t: sabotaged(d) for t, d in real_hook_decompositions(shape, thetas).items()}
+
+    monkeypatch.setattr("immanants.verify.hook_decompositions", decompose_all)
     failing = 0
     for shape in _bounded_connected_shapes(4, 8):
         thetas = _shape_hooks(shape)
