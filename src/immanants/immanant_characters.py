@@ -216,7 +216,11 @@ def collected_coefficient(decomp: HookDecomposition, h: HessenbergFunction) -> i
     lower), and b is the leg minus the number where the summand is
     lowered.  Checked against the enumerated multiplicity.
     """
-    enumerated = decomp.multiplicity(h)  # KeyError if not a summand
+    return _checked_coefficient(decomp, h, decomp.multiplicity(h))  # KeyError if not a summand
+
+
+def _checked_coefficient(decomp: HookDecomposition, h: HessenbergFunction, enumerated: int) -> int:
+    """The closed form binom(a, b) for summand h, asserted equal to `enumerated`."""
     base = decomp.base.values[: decomp.shape.rows - 1]
     a = sum(p == v for p, v in zip(decomp.prime.values, base))
     b = decomp.leg - sum(g != v for g, v in zip(h.values, base))

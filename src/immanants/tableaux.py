@@ -234,6 +234,42 @@ def skew_shape(outer: Iterable[int], inner: Iterable[int] = (), rows: int | None
     return SkewShape(mu, nu, rows)
 
 
+@cache
+def _strips(outer: Partition, mu: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
+    """Every nu inside `outer` with nu/mu a horizontal strip of `size` boxes.
+
+    `mu` and each nu are padded with zeros to len(outer) rows.  The strips
+    depend only on (outer, mu, size), so each key's are enumerated once and
+    every layer entry that meets the key again reads them from the cache.
+    """
+    rows = len(outer)
+    # Row i may grow up to min(outer_i, mu_{i-1}); only rows with room
+    # recurse, so the depth is at most the number of distinct parts.
+    caps = [min(o, a) for o, a in zip(outer, (outer[0],) + mu)]
+    free = [i for i in range(rows) if mu[i] < caps[i]]
+    room = [0] * (len(free) + 1)
+    for j in range(len(free) - 1, -1, -1):
+        room[j] = room[j + 1] + caps[free[j]] - mu[free[j]]
+    if size > room[0]:
+        return ()
+    nu = list(mu)
+    out: list[tuple[int, ...]] = []
+
+    def grow(j: int, extra: int) -> None:
+        # Spread `extra` more boxes over the free rows j, j+1, ...
+        if j == len(free):
+            out.append(tuple(nu))
+            return
+        i = free[j]
+        for take in range(max(0, extra - room[j + 1]), min(extra, caps[i] - mu[i]) + 1):
+            nu[i] = mu[i] + take
+            grow(j + 1, extra - take)
+        nu[i] = mu[i]
+
+    grow(0, size)
+    return tuple(out)
+
+
 def _pieri_step(
     layer: dict[tuple[int, ...], int], outer: Partition, size: int
 ) -> dict[tuple[int, ...], int]:
@@ -243,33 +279,10 @@ def _pieri_step(
     of chains reaching them; the result maps each shape nu inside `outer`
     with nu/mu a horizontal strip of `size` boxes to the sum of those counts.
     """
-    rows = len(outer)
     grown: dict[tuple[int, ...], int] = {}
     for mu, ways in layer.items():
-        # Row i may grow up to min(outer_i, mu_{i-1}); only rows with room
-        # recurse, so the depth is at most the number of distinct parts.
-        caps = [min(o, a) for o, a in zip(outer, (outer[0],) + mu)]
-        free = [i for i in range(rows) if mu[i] < caps[i]]
-        room = [0] * (len(free) + 1)
-        for j in range(len(free) - 1, -1, -1):
-            room[j] = room[j + 1] + caps[free[j]] - mu[free[j]]
-        if size > room[0]:
-            continue
-        nu = list(mu)
-
-        def grow(j: int, extra: int) -> None:
-            # Spread `extra` more boxes over the free rows j, j+1, ...
-            if j == len(free):
-                key = tuple(nu)
-                grown[key] = grown.get(key, 0) + ways
-                return
-            i = free[j]
-            for take in range(max(0, extra - room[j + 1]), min(extra, caps[i] - mu[i]) + 1):
-                nu[i] = mu[i] + take
-                grow(j + 1, extra - take)
-            nu[i] = mu[i]
-
-        grow(0, size)
+        for nu in _strips(outer, mu, size):
+            grown[nu] = grown.get(nu, 0) + ways
     return grown
 
 

@@ -15,6 +15,7 @@ from immanants import (
     contains,
     hook_partition,
     hooks_of,
+    immanant_character,
     is_hook,
     kostka,
     kostka_hook,
@@ -28,6 +29,7 @@ from immanants.symfunc import MAX_DEGREE
 from immanants.tableaux import (
     _normalize_content,
     _ssyt_count,
+    _strips,
     check_partition,
     inverse_kostka_matrix,
 )
@@ -117,6 +119,18 @@ def ssyt_enumeration_oracle(outer, inner, content):
         return total
 
     return fill(0, spans[0][0])
+
+
+def strips_by_definition(outer, mu, size):
+    """Every nu with mu_i <= nu_i <= min(outer_i, mu_{i-1}) and |nu| - |mu| = size.
+
+    One candidate per point of the box of allowed row lengths, filtered by size.
+    """
+    tops = [min(o, a) for o, a in zip(outer, (outer[0], *mu))]
+    return [
+        nu for nu in product(*(range(m, top + 1) for m, top in zip(mu, tops)))
+        if sum(nu) - sum(mu) == size
+    ]
 
 
 def entrywise_kostka_matrix(n):
@@ -331,6 +345,41 @@ def test_kostka_matrix_takes_one_strip_step_per_content_prefix(monkeypatch):
     finally:
         # Drop the matrices built through the wrapper; later calls rebuild them.
         kostka_matrix.cache_clear()
+
+
+def test_strips_match_the_definition_exhaustively():
+    # Every outer with at most 4 rows and parts at most 4, every mu inside it
+    # (padded to its rows), every size that fits.
+    outers = [p for n in range(1, 17) for p in partitions_of(n) if len(p) <= 4 and p[0] <= 4]
+    checked = 0
+    for outer in outers:
+        for mu in product(*(range(o + 1) for o in outer)):
+            if list(mu) != sorted(mu, reverse=True):
+                continue
+            for size in range(sum(outer) - sum(mu) + 1):
+                got = _strips(outer, mu, size)
+                assert type(got) is tuple and all(type(nu) is tuple for nu in got)
+                assert len(set(got)) == len(got), (outer, mu, size)
+                assert set(got) == set(strips_by_definition(outer, mu, size)), (
+                    outer, mu, size)
+                checked += 1
+    assert checked == 10197
+
+
+def test_strips_are_enumerated_once_per_outer_mu_and_size():
+    caches = (_strips, _ssyt_count, kostka_matrix)
+    try:
+        for cached in caches:
+            cached.cache_clear()
+        kostka_matrix(11)
+        assert _strips.cache_info().misses == 227
+        for cached in caches:
+            cached.cache_clear()
+        immanant_character((10, 8, 8), skew_shape((5,) * 6, (3, 1)))
+        assert 0 < _strips.cache_info().misses <= 442
+    finally:
+        for cached in caches:
+            cached.cache_clear()
 
 
 def test_inverse_kostka_matrix():

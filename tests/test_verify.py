@@ -286,6 +286,22 @@ def test_hook_suite_computes_h_and_h_prime_once_per_shape(monkeypatch):
     assert set(calls) == set(_bounded_connected_shapes(4, 7)) and max(calls.values()) <= 2
 
 
+def test_hook_check_compares_the_multiplicity_in_hand(monkeypatch):
+    calls = 0
+    real_multiplicity = HookDecomposition.multiplicity
+
+    def counted(self, h):
+        nonlocal calls
+        calls += 1
+        return real_multiplicity(self, h)
+
+    monkeypatch.setattr(HookDecomposition, "multiplicity", counted)
+    assert suite_hook(4, 7).ok
+    # Each summand's closed form is compared with its own multiplicity, not
+    # with one found again by a scan of the summands.
+    assert calls == 0
+
+
 @pytest.mark.parametrize("sabotage", SABOTAGES, ids=lambda f: f.__name__ if f else "true")
 def test_bitmask_hook_check_matches_the_per_permutation_oracle(monkeypatch, sabotage):
     def sabotaged(decomp):
