@@ -15,9 +15,10 @@ whose bottom nonzero entry is the constant 1.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import combinations
 
-from .characters import ClassFunction, zee, zero_character
+from .characters import ClassFunction, zee
 from .jacobitrudi import (
     HessenbergFunction,
     NotHessenbergError,
@@ -106,6 +107,7 @@ def immanant_character(theta, shape: SkewShape) -> ClassFunction:
     return immanant_characters(shape, (theta,))[theta]
 
 
+@cache
 def stanley_stembridge_character(h: HessenbergFunction) -> ClassFunction:
     """Value at a class is zee * number of class members staying under h.
 
@@ -153,10 +155,12 @@ class HookDecomposition(_Frozen):
         raise KeyError(f"{h} is not a summand")
 
     def character(self) -> ClassFunction:
-        out = zero_character(self.shape.rows)
+        n = self.shape.rows
+        values = dict.fromkeys(partitions_of(n), 0)
         for h, m in self.summands:
-            out = out + m * stanley_stembridge_character(h)
-        return out
+            for rho, v in stanley_stembridge_character(h).values.items():
+                values[rho] += m * v
+        return ClassFunction(n, values)
 
     def to_json(self) -> dict:
         return {

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import compress, count, product
-from operator import getitem, sub
+from itertools import product
+from operator import sub
 
 from .characters import (
     ClassFunction,
@@ -21,7 +21,6 @@ from .characters import (
     inner_product,
     monomial_character,
     sign_character,
-    zee,
 )
 from .immanant_characters import (
     _checked_coefficient,
@@ -31,8 +30,7 @@ from .immanant_characters import (
     is_dahlberg_small,
     stanley_stembridge_character,
 )
-from .jacobitrudi import hessenberg_from_skew, immanant, jt_matrix
-from .permutations import sn_layout
+from .jacobitrudi import hessenberg_from_skew, immanant
 from .reductions import (
     components,
     immanant_character_from_components,
@@ -82,41 +80,33 @@ class CheckReport(_Record):
         }
 
 
-#: Byte translation of a bin() digit string into 0/1 flags for `compress`.
-_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
     """Check the hook expansion of one shape at each hook theta.
 
-    Verifies, for every permutation, that the Kostka number of the
-    shuffled content equals the number of lowered Hessenberg functions
-    admitting the permutation; verifies the class-function equality that
-    follows; and checks the closed-form collected multiplicities against
-    the enumerated ones.  One pass over S_n sorts every permutation's
-    content once for all thetas, and each distinct content's Kostka number
-    is counted once per theta.  Each summand's admitted permutations are
-    one bitmask (see `permutations.sn_layout`); permutations are walked one
-    by one only to report witnesses, which come in theta order.
+    Per theta: every summand sits between h - 1 and h, the multiplicities
+    total binom(n - 1, leg) and each matches its closed form, and the
+    theorem holds as a class-function identity.  Its two sides come from
+    different grids: gamma_theta from one `immanant_characters` call on the
+    Jacobi-Trudi grid clipped at 1, and sum mult * SS(h) from each
+    summand's own 0/-1 pattern.
+
+    The identity needs no check permutation by permutation.  Subscript
+    (i, n) is mu_i - nu_n - i + n, at least the width of row n, so on a
+    shape with no empty rows (which the expansion requires) column n is
+    positive throughout.  A permutation w under h then meets l = |P(w)| + 1
+    positive subscripts, where P(w) holds the columns j < n with
+    w(j) <= h'(j), and its Kostka number C(l - 1, leg) is the number
+    C(|P(w)|, leg) of leg-sized subsets of P(w), one per admitting summand.
+    That identity holds for every w by counting alone; what is left to
+    check is the class-function identity, which compares two kernels.
     """
     thetas = [check_partition(theta) for theta in thetas]
     report = CheckReport("hook-expansion")
     if not thetas:
         return report
     decomps = hook_decompositions(shape, thetas)
+    gammas = immanant_characters(shape, thetas)
     n = shape.rows
-    perms, classes, below = sn_layout(n)
-    # content_vector(shape, w) holds the subscript at row w(i), column i; with
-    # column i of the grid behind a placeholder, that is columns[i][w(i)].
-    columns = [(None, *col) for col in zip(*jt_matrix(shape).sub)]
-    ids: dict[tuple, int] = {}
-    content_id = [
-        ids.setdefault(tuple(sorted(map(getitem, columns, w))), len(ids)) for w in perms
-    ]
-    # Sorted keys with no negative entry are distinct partitions once zeros go;
-    # a negative subscript is a zero matrix entry on the diagonal of w.
-    contents = [None if key[0] < 0 else tuple(filter(None, reversed(key))) for key in ids]
-    everyone = (1 << len(perms)) - 1
     for theta in thetas:
         decomp = decomps[theta]
         where = {"shape": shape.to_json(), "theta": list(theta)}
@@ -136,24 +126,7 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
                 _checked_coefficient(decomp, h, mult)
             except AssertionError as exc:
                 report.failures.append({**where, "error": str(exc)})
-
-        by_content = [0 if c is None else _ssyt_count(theta, (), c) for c in contents]
-        kval = list(map(by_content.__getitem__, content_id))
-        sval = [0] * len(perms)
-        for h, mult in decomp.summands:
-            admitted = everyone
-            for masks, v in zip(below, h.values):
-                admitted &= masks[v]
-            for p in compress(count(), bin(admitted)[:1:-1].encode().translate(_BIT_FLAGS)):
-                sval[p] += mult
-        if kval != sval:
-            for w, kv, sv in zip(perms, kval, sval):
-                if kv != sv:
-                    report.failures.append(
-                        {**where, "w": list(w), "kostka": kv, "indicator_sum": sv}
-                    )
-        lhs = {rho: zee(rho) * sum(kval[start:stop]) for rho, start, stop in classes}
-        rhs = {rho: zee(rho) * sum(sval[start:stop]) for rho, start, stop in classes}
+        lhs, rhs = gammas[theta].values, decomp.character().values
         if lhs != rhs:
             report.failures.append(
                 {

@@ -374,6 +374,7 @@ def test_traced_cli_matches_the_plain_cli(tmp_path):
     for argv in (
         ["decompose", "--theta", "6,1,1", "--outer", "3,3,3,1", "--inner", "1,1"],
         ["gamma", "--outer", "2,2,2,2,2,2,2,2,1", "--inner", "1", "--theta", "15,1"],
+        ["verify", "--suite", "hook", "--max-n", "3", "--max-size", "4"],
     ):
         traced = subprocess.run(
             [sys.executable, str(root / "bench" / "traced_cli.py"), str(tmp_path / "spans"), *argv],

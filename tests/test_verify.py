@@ -4,6 +4,8 @@ from collections import Counter
 from operator import getitem
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import immanants.jacobitrudi
 import immanants.verify
@@ -16,14 +18,16 @@ from immanants import (
     hessenberg,
     hook_decomposition,
     hook_partition,
+    immanant_character,
     is_hook,
     jt_matrix,
     kostka,
     partitions_of,
     skew_shape,
+    stanley_stembridge_character,
     zee,
 )
-from immanants.permutations import conjugacy_classes, sn_layout
+from immanants.permutations import conjugacy_classes
 from immanants.verify import (
     CheckReport,
     _bounded_connected_shapes,
@@ -47,8 +51,9 @@ from immanants.verify import (
 def per_permutation_hook_check(shape, thetas, decompose=hook_decomposition):
     """The hook check one permutation at a time: `h.admits(w)` per summand, `kostka` per content.
 
-    The loop `verify_hook_decompositions` ran before its admitted sets became
-    bitmasks; `decompose` stands in for `hook_decomposition`.
+    Walks all of S_n, comparing each permutation's Kostka number with the
+    number of summands admitting it; `decompose` stands in for
+    `hook_decomposition`.
     """
     n = shape.rows
     columns = [(None, *col) for col in zip(*jt_matrix(shape).sub)]
@@ -191,9 +196,11 @@ def test_per_shape_hook_check_blames_only_the_broken_theta(monkeypatch):
     report = verify_hook_decompositions(shape, hooks)
     assert report.instances == len(hooks)
     assert {tuple(f["theta"]) for f in report.failures} == {broken}
-    witnesses = [f for f in report.failures if "w" in f]
-    assert witnesses and all(f["kostka"] != f["indicator_sum"] for f in witnesses)
-    assert any(f.get("error") == "class functions differ" for f in report.failures)
+    [differ] = [f for f in report.failures if f.get("error") == "class functions differ"]
+    gamma = immanant_character(broken, shape).values
+    assert differ["lhs"] == {str(list(rho)): v for rho, v in gamma.items()}
+    identity = str([1] * shape.rows)
+    assert differ["rhs"][identity] < differ["lhs"][identity]
     one_at_a_time = [verify_hook_decomposition(theta, shape) for theta in hooks]
     assert [r.ok for r in one_at_a_time] == [theta != broken for theta in hooks]
     assert report.failures == [f for r in one_at_a_time for f in r.failures]
@@ -302,6 +309,10 @@ def test_hook_check_compares_the_multiplicity_in_hand(monkeypatch):
     assert calls == 0
 
 
+def failing_thetas(report):
+    return {tuple(f["theta"]) for f in report.failures}
+
+
 @pytest.mark.parametrize("sabotage", SABOTAGES, ids=lambda f: f.__name__ if f else "true")
 def test_bitmask_hook_check_matches_the_per_permutation_oracle(monkeypatch, sabotage):
     def sabotaged(decomp):
@@ -317,25 +328,71 @@ def test_bitmask_hook_check_matches_the_per_permutation_oracle(monkeypatch, sabo
 
     monkeypatch.setattr("immanants.verify.hook_decompositions", decompose_all)
     failing = 0
-    for shape in _bounded_connected_shapes(4, 8):
+    for shape in _bounded_connected_shapes(6, 8):
         thetas = _shape_hooks(shape)
         report = verify_hook_decompositions(shape, thetas)
         oracle = per_permutation_hook_check(shape, thetas, decompose)
-        assert (report.instances, report.failures) == (oracle.instances, oracle.failures)
+        assert report.instances == oracle.instances == len(thetas)
+        assert report.ok == oracle.ok and failing_thetas(report) == failing_thetas(oracle), shape
         failing += not report.ok
     # Every sabotage must show on most shapes, or the comparison checks little.
-    assert failing == 0 if sabotage is None else failing > 200
+    assert failing == 0 if sabotage is None else failing > 300
 
 
-@pytest.mark.parametrize("n", range(6))
-def test_sn_layout_masks_follow_their_definition(n):
-    perms, classes, below = sn_layout(n)
-    groups = conjugacy_classes(n)
-    assert [rho for rho, _, _ in classes] == list(groups)
-    assert [tuple(perms[start:stop]) for _, start, stop in classes] == list(groups.values())
-    assert classes[-1][2] == len(perms) == math.factorial(n)
-    assert len(below) == n
-    for j, masks in enumerate(below):
-        assert len(masks) == n + 1
-        for v, mask in enumerate(masks):
-            assert mask == sum(1 << p for p, w in enumerate(perms) if w[j] <= v)
+def test_hook_check_sees_a_class_value_the_oracle_cannot(monkeypatch):
+    real_immanant_characters = immanants.verify.immanant_characters
+
+    def off_by_one_at_identity(shape, thetas):
+        gammas = real_immanant_characters(shape, thetas)
+        identity = (1,) * shape.rows
+        return {
+            theta: ClassFunction(shape.rows, {**g.values, identity: g.values[identity] + 1})
+            for theta, g in gammas.items()
+        }
+
+    monkeypatch.setattr("immanants.verify.immanant_characters", off_by_one_at_identity)
+    for shape in _bounded_connected_shapes(4, 7):
+        thetas = _shape_hooks(shape)
+        report = verify_hook_decompositions(shape, thetas)
+        assert per_permutation_hook_check(shape, thetas).ok
+        assert [tuple(f["theta"]) for f in report.failures] == thetas
+        identity = str([1] * shape.rows)
+        for failure in report.failures:
+            assert failure["error"] == "class functions differ"
+            lhs, rhs = failure["lhs"], failure["rhs"]
+            assert {r for r in lhs if lhs[r] != rhs[r]} == {identity}
+            assert lhs[identity] == rhs[identity] + 1
+
+
+def test_last_grid_column_is_positive_on_connected_shapes():
+    # Subscript (i, n) = mu_i - nu_n - i + n is at least mu_n - nu_n, the
+    # width of row n: why `verify_hook_decompositions` needs no S_n walk.
+    shapes = 0
+    for shape in _bounded_connected_shapes(6, 12):
+        last = [row[-1] for row in jt_matrix(shape).sub]
+        assert min(last) == shape.row_width(shape.rows) >= 1, shape
+        shapes += 1
+    assert shapes == 8914
+
+
+SEVEN_ROW_SHAPES = [
+    shape for size in range(7, 13) for shape in connected_skew_shapes(7, size)
+]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.sampled_from(SEVEN_ROW_SHAPES))
+def test_hook_check_agrees_with_the_oracle_at_seven_rows(shape):
+    thetas = _shape_hooks(shape)
+    report = verify_hook_decompositions(shape, thetas)
+    oracle = per_permutation_hook_check(shape, thetas)
+    assert report.ok and oracle.ok
+    assert report.instances == oracle.instances == len(thetas)
+
+
+def test_hook_suite_counts_each_distinct_summand_once():
+    stanley_stembridge_character.cache_clear()
+    report = suite_hook(5, 9)
+    assert report.ok and report.instances == 3109
+    # 5,190 (shape, summand) pairs, but only 53 distinct Hessenberg functions.
+    assert stanley_stembridge_character.cache_info().misses == 53
