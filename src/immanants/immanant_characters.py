@@ -70,7 +70,7 @@ def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassF
     size, so K comes straight from the Pieri kernel.  When every theta is a
     hook (N-k, 1^k) and the shape has a box, K = C(l(alpha) - 1, k) needs
     only the number of positive subscripts, so the count runs on the grid
-    clipped at 1, where alpha is (1,) * l.
+    clipped to -1, 0 and 1 (`_hook_grid`), where alpha is (1,) * l.
     """
     if thetas is None:
         thetas = partitions_of(shape.size)
@@ -80,9 +80,7 @@ def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassF
             check_theta_size(theta, shape)
     sub = jt_matrix(shape).sub
     hooks = shape.size > 0 and all(map(is_hook, thetas))
-    if hooks:
-        sub = [[min(x, 1) for x in row] for row in sub]
-    counts = cycle_cover_counts(sub)
+    counts = cycle_cover_counts(_hook_grid(sub) if hooks else sub)
     classes = [(rho, zee(rho), counts.get(rho, {}).items()) for rho in partitions_of(shape.rows)]
     out = {}
     for theta in thetas:
@@ -99,6 +97,16 @@ def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassF
             }
         out[theta] = ClassFunction(shape.rows, values)
     return out
+
+
+def _hook_grid(sub) -> tuple[tuple[int, ...], ...]:
+    """The subscript grid clipped to -1 (no edge), 0 and 1: all that a hook's count reads.
+
+    With every negative subscript one value, rows that differ only in
+    missing edges share a fragment start in `cycle_cover_counts`, and
+    shapes whose grids clip to the same one share one hook check in `verify`.
+    """
+    return tuple(tuple([-1 if x < 0 else 1 if x else 0 for x in row]) for row in sub)
 
 
 def immanant_character(theta, shape: SkewShape) -> ClassFunction:
@@ -181,18 +189,29 @@ def hook_decompositions(shape: SkewShape, thetas) -> dict[Partition, HookDecompo
     for all of them.  Requires a shape with at least one row and no empty
     rows; callers must strip empty rows first (see reductions.remove_empty_rows).
     """
-    thetas = [check_partition(theta) for theta in thetas]
+    legs = _hook_legs(shape, [check_partition(theta) for theta in thetas])
+    # a row and no empty one, so h'(j) >= j and hess_prime cannot raise
+    return _hook_expansions(shape, legs, hessenberg_from_skew(shape), hess_prime(shape))
+
+
+def _hook_legs(shape: SkewShape, thetas: list[Partition]) -> dict[Partition, int]:
+    """The leg of each theta, once every theta and the shape admit a hook expansion."""
     legs = {}
     for theta in thetas:
         legs[theta] = hook_leg(theta)
         check_theta_size(theta, shape)
     if shape.has_empty_rows:
         raise ValueError("shape has empty rows; remove them first (remove_empty_rows)")
-    n = shape.rows
-    if n == 0:
+    if shape.rows == 0:
         raise ValueError("the hook expansion needs a shape with at least one row")
-    base = hessenberg_from_skew(shape)
-    prime = hess_prime(shape)  # a row and no empty one, so h'(j) >= j and this cannot raise
+    return legs
+
+
+def _hook_expansions(
+    shape: SkewShape, legs: dict, base: HessenbergFunction, prime: HessenbergFunction
+) -> dict[Partition, HookDecomposition]:
+    """`hook_decompositions` from each theta's leg and the shape's h and h'."""
+    n = shape.rows
     out = {}
     for theta, k in legs.items():
         collected: dict[tuple[int, ...], int] = {}  # first-seen order

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import product
+from itertools import chain, product
 from operator import sub
 
 from .characters import (
@@ -24,13 +24,22 @@ from .characters import (
 )
 from .immanant_characters import (
     _checked_coefficient,
+    _hook_expansions,
+    _hook_grid,
+    _hook_legs,
     hook_decompositions,
     immanant_character,
     immanant_characters,
     is_dahlberg_small,
     stanley_stembridge_character,
 )
-from .jacobitrudi import hessenberg_from_skew, immanant
+from .jacobitrudi import (
+    HessenbergFunction,
+    hess_prime,
+    hessenberg_from_skew,
+    immanant,
+    jt_matrix,
+)
 from .reductions import (
     components,
     immanant_character_from_components,
@@ -87,8 +96,8 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
     total binom(n - 1, leg) and each matches its closed form, and the
     theorem holds as a class-function identity.  Its two sides come from
     different grids: gamma_theta from one `immanant_characters` call on the
-    Jacobi-Trudi grid clipped at 1, and sum mult * SS(h) from each
-    summand's own 0/-1 pattern.
+    Jacobi-Trudi grid clipped to -1, 0 and 1, and sum mult * SS(h) from
+    each summand's own 0/-1 pattern.  The one-shape case of `_verify_hooks`.
 
     The identity needs no check permutation by permutation.  Subscript
     (i, n) is mu_i - nu_n - i + n, at least the width of row n, so on a
@@ -100,11 +109,53 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
     That identity holds for every w by counting alone; what is left to
     check is the class-function identity, which compares two kernels.
     """
-    thetas = [check_partition(theta) for theta in thetas]
+    return _verify_hooks([(shape, [check_partition(theta) for theta in thetas])])
+
+
+def _verify_hooks(pairs) -> CheckReport:
+    """The hook check of each (shape, checked thetas) pair, once per distinct `_hook_key`.
+
+    Every theta of every shape still counts as one instance, and each shape
+    gets its key's failures under its own "shape", in the order of the pairs.
+    """
     report = CheckReport("hook-expansion")
-    if not thetas:
-        return report
-    decomps = hook_decompositions(shape, thetas)
+    checked: dict[tuple, list[dict]] = {}
+    for shape, thetas in pairs:
+        if not thetas:
+            continue
+        legs = _hook_legs(shape, thetas)
+        key, base, prime = _hook_key(shape, thetas)
+        if key not in checked:
+            decomps = _hook_expansions(shape, legs, base, prime)
+            checked[key] = _hook_failures(shape, thetas, decomps)
+        _add_shape(report, shape, thetas, checked[key])
+    return report
+
+
+def _hook_key(
+    shape: SkewShape, thetas: list
+) -> tuple[tuple, HessenbergFunction, HessenbergFunction]:
+    """What a hook check reads of a shape, with the shape's h and h'.
+
+    The grid clipped to -1, 0 and 1 fixes gamma_theta at every hook theta,
+    and h and h' fix the summands, so shapes with equal keys have equal
+    checks up to the "shape" in their failures.
+    """
+    base, prime = hessenberg_from_skew(shape), hess_prime(shape)
+    key = (_hook_grid(jt_matrix(shape).sub), base.values, prime.values, tuple(thetas))
+    return key, base, prime
+
+
+def _add_shape(report: CheckReport, shape: SkewShape, thetas: list, failures: list[dict]) -> None:
+    """Count one instance per theta of the shape, and add its key's failures as its own."""
+    report.instances += len(thetas)
+    shape_json = shape.to_json()
+    report.failures += [{**failure, "shape": shape_json} for failure in failures]
+
+
+def _hook_failures(shape: SkewShape, thetas: list, decomps: dict) -> list[dict]:
+    """The failures of the hook check of one shape, given its expansions."""
+    failures = []
     gammas = immanant_characters(shape, thetas)
     n = shape.rows
     for theta in thetas:
@@ -115,20 +166,20 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
         # Sandwich invariant: every summand sits between h-1 and h pointwise.
         for h, _ in decomp.summands:
             if not all(b - 1 <= v <= b for v, b in zip(h.values, base)):
-                report.failures.append({**where, "bad_summand": list(h.values)})
+                failures.append({**where, "bad_summand": list(h.values)})
         total = decomp.total_multiplicity
         if total != math.comb(n - 1, k):
-            report.failures.append(
+            failures.append(
                 {**where, "error": f"expected binom({n - 1},{k}) summands, got {total}"}
             )
         for h, mult in decomp.summands:
             try:
                 _checked_coefficient(decomp, h, mult)
             except AssertionError as exc:
-                report.failures.append({**where, "error": str(exc)})
+                failures.append({**where, "error": str(exc)})
         lhs, rhs = gammas[theta].values, decomp.character().values
         if lhs != rhs:
-            report.failures.append(
+            failures.append(
                 {
                     **where,
                     "error": "class functions differ",
@@ -136,8 +187,7 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
                     "rhs": {str(list(r)): v for r, v in rhs.items()},
                 }
             )
-        report.instances += 1
-    return report
+    return failures
 
 
 def verify_hook_decomposition(theta, shape: SkewShape) -> CheckReport:
@@ -158,11 +208,14 @@ def _shape_hooks(shape: SkewShape) -> list:
 
 
 def suite_hook(max_n: int = 5, max_size: int = 9) -> CheckReport:
-    """Hook expansion over every connected shape and hook within bounds."""
-    report = CheckReport("hook-expansion")
-    for shape in _bounded_connected_shapes(max_n, max_size):
-        report.merge(verify_hook_decompositions(shape, _shape_hooks(shape)))
-    return report
+    """Hook expansion over every connected shape and hook within bounds.
+
+    Each distinct (hook grid, h, h', hooks) is checked once; every shape
+    still counts as one instance per hook and gets its own failures.
+    """
+    return _verify_hooks(
+        (shape, _shape_hooks(shape)) for shape in _bounded_connected_shapes(max_n, max_size)
+    )
 
 
 def verify_character_equality(
@@ -396,22 +449,36 @@ def preabelian_example_shapes() -> list[SkewShape]:
 
 
 def suite_positivity(max_n: int = 5, max_size: int = 8) -> CheckReport:
-    """Induced-trivial positivity on the pre-abelian and small-excess families."""
+    """Induced-trivial positivity on the pre-abelian and small-excess families.
+
+    Each distinct (hook grid, h, h', hooks) is checked once; every shape
+    still counts as one instance per hook and gets its own failures.
+    """
     report = CheckReport("hook-positivity")
-    targets = preabelian_example_shapes() + [
-        shape
-        for shape in _bounded_connected_shapes(max_n, max_size)
-        if is_dahlberg_small(hessenberg_from_skew(shape))
-    ]
-    for shape in targets:
-        for theta, gamma in immanant_characters(shape, _shape_hooks(shape)).items():
-            report.instances += 1
-            dec = h_positive_decomposition(gamma)
-            if not (dec.is_integral and dec.is_nonnegative):
-                report.failures.append(
-                    {"shape": shape.to_json(), "theta": list(theta), "coeffs": dec.to_json()}
-                )
+    checked: dict[tuple, list[dict]] = {}
+    examples = [(shape, False) for shape in preabelian_example_shapes()]
+    bounded = ((shape, True) for shape in _bounded_connected_shapes(max_n, max_size))
+    for shape, small_only in chain(examples, bounded):
+        thetas = _shape_hooks(shape)
+        key, base, _ = _hook_key(shape, thetas)
+        if small_only and not is_dahlberg_small(base):
+            continue
+        if key not in checked:
+            checked[key] = _positivity_failures(shape, thetas)
+        _add_shape(report, shape, thetas, checked[key])
     return report
+
+
+def _positivity_failures(shape: SkewShape, thetas: list) -> list[dict]:
+    """The hook thetas at which the shape's character is not a non-negative sum of eta's."""
+    failures = []
+    for theta, gamma in immanant_characters(shape, thetas).items():
+        dec = h_positive_decomposition(gamma)
+        if not (dec.is_integral and dec.is_nonnegative):
+            failures.append(
+                {"shape": shape.to_json(), "theta": list(theta), "coeffs": dec.to_json()}
+            )
+    return failures
 
 
 SUITES = {

@@ -249,12 +249,16 @@ def test_verify_exits_two_when_a_suite_checks_nothing(capsys):
 
 
 # Digests of stdout recorded before `immanant_characters` served every theta
-# from one cycle-cover walk; the sweeps must stay byte-identical.
+# from one cycle-cover walk (the last one before the hook and positivity
+# suites checked each distinct clipped grid once); the sweeps must stay
+# byte-identical.
 STDOUT_SHA256 = {
     ("scan", "--max-n", "4", "--max-size", "6"):
         "3ec0a60895a2a9293193cde567d1a58832430db39f73e61164f1fd4fe4eb2028",
     ("verify", "--suite", "all", "--max-n", "4", "--max-size", "7"):
         "62159d1996b29bcbe106825131241304bfbbf8aed22714921b7bf797bc79a077",
+    ("verify", "--suite", "hook,positivity", "--max-n", "6", "--max-size", "10"):
+        "b7c8e8598e3f30ff72c5dd3cb5820bc7a54e904df215b00f55df4a6e121e2cda",
 }
 
 

@@ -41,6 +41,7 @@ from immanants import (
     symmetric_group,
     zee,
 )
+from immanants.immanant_characters import _hook_grid
 from immanants.jacobitrudi import _multiset, cycle_cover_counts
 
 CONNECTED = [
@@ -94,7 +95,7 @@ def cycle_cover_walk(sub):
 
 
 def clipped(sub):
-    """The grid clipped at 1, the one hook thetas are counted on."""
+    """The grid clipped at 1, negative subscripts kept as they are."""
     return [[min(x, 1) for x in row] for row in sub]
 
 
@@ -201,6 +202,20 @@ def test_cycle_cover_counts_match_the_walk(family):
         assert cycle_cover_counts(sub) == cycle_cover_walk(sub), shape
         assert cycle_cover_counts(clipped(sub)) == cycle_cover_walk(clipped(sub)), shape
     assert cycle_cover_counts(()) == cycle_cover_walk(()) == {(): {(): 1}}
+
+
+def test_hook_grid_counts_as_the_grid_clipped_at_1():
+    # `_hook_grid` also sends every negative subscript to -1, which only
+    # merges names of fragment starts, and lets shapes share a grid.
+    grids = set()
+    for n in range(1, 6):
+        for size in range(n, 10):
+            for shape in connected_skew_shapes(n, size):
+                sub = jt_matrix(shape).sub
+                grid = _hook_grid(sub)
+                assert cycle_cover_counts(grid) == cycle_cover_counts(clipped(sub)), shape
+                grids.add(grid)
+    assert len(grids) == 37
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from collections import Counter
 from operator import getitem
 
@@ -15,10 +16,13 @@ from immanants import (
     SkewShape,
     collected_coefficient,
     connected_skew_shapes,
+    h_positive_decomposition,
     hessenberg,
+    hessenberg_from_skew,
     hook_decomposition,
     hook_partition,
     immanant_character,
+    is_dahlberg_small,
     is_hook,
     jt_matrix,
     kostka,
@@ -27,11 +31,13 @@ from immanants import (
     stanley_stembridge_character,
     zee,
 )
+from immanants.immanant_characters import _hook_grid
 from immanants.permutations import conjugacy_classes
 from immanants.verify import (
     CheckReport,
     _bounded_connected_shapes,
     _shape_hooks,
+    preabelian_example_shapes,
     run_suites,
     scan_records,
     suite_hook,
@@ -105,6 +111,40 @@ def per_permutation_hook_check(shape, thetas, decompose=hook_decomposition):
             )
         report.instances += 1
     return report
+
+
+def per_shape_suite_hook(max_n, max_size):
+    """`suite_hook` with every shape checked on its own."""
+    report = CheckReport("hook-expansion")
+    for shape in _bounded_connected_shapes(max_n, max_size):
+        report.merge(verify_hook_decompositions(shape, _shape_hooks(shape)))
+    return report
+
+
+def per_shape_suite_positivity(max_n, max_size):
+    """`suite_positivity` with every shape checked on its own."""
+    report = CheckReport("hook-positivity")
+    targets = preabelian_example_shapes() + [
+        shape
+        for shape in _bounded_connected_shapes(max_n, max_size)
+        if is_dahlberg_small(hessenberg_from_skew(shape))
+    ]
+    for shape in targets:
+        gammas = immanants.verify.immanant_characters(shape, _shape_hooks(shape))
+        for theta, gamma in gammas.items():
+            report.instances += 1
+            dec = h_positive_decomposition(gamma)
+            if not (dec.is_integral and dec.is_nonnegative):
+                report.failures.append(
+                    {"shape": shape.to_json(), "theta": list(theta), "coeffs": dec.to_json()}
+                )
+    return report
+
+
+GROUPED_SUITES = [
+    (suite_hook, per_shape_suite_hook),
+    (suite_positivity, per_shape_suite_positivity),
+]
 
 
 def with_summands(decomp, summands):
@@ -184,15 +224,15 @@ def test_per_shape_hook_check_blames_only_the_broken_theta(monkeypatch):
     shape = skew_shape((3, 3, 3, 1), (1, 1))
     hooks = [hook_partition(shape.size, k) for k in range(shape.rows)]
     broken = hooks[1]
-    real_hook_decompositions = immanants.verify.hook_decompositions
+    real_hook_expansions = immanants.verify._hook_expansions
 
-    def drop_one_summand(shape, thetas):
-        decomps = real_hook_decompositions(shape, thetas)
+    def drop_one_summand(*args):
+        decomps = real_hook_expansions(*args)
         if broken in decomps:
             decomps[broken] = drop_first_summand(decomps[broken])
         return decomps
 
-    monkeypatch.setattr("immanants.verify.hook_decompositions", drop_one_summand)
+    monkeypatch.setattr("immanants.verify._hook_expansions", drop_one_summand)
     report = verify_hook_decompositions(shape, hooks)
     assert report.instances == len(hooks)
     assert {tuple(f["theta"]) for f in report.failures} == {broken}
@@ -293,6 +333,72 @@ def test_hook_suite_computes_h_and_h_prime_once_per_shape(monkeypatch):
     assert set(calls) == set(_bounded_connected_shapes(4, 7)) and max(calls.values()) <= 2
 
 
+def test_positivity_suite_computes_h_and_h_prime_once_per_shape(monkeypatch):
+    real_leading_run = immanants.jacobitrudi._leading_run
+    calls = Counter()
+
+    def counted(shape, least):
+        calls[shape] += 1
+        return real_leading_run(shape, least)
+
+    monkeypatch.setattr(immanants.jacobitrudi, "_leading_run", counted)
+    assert suite_positivity(4, 7).ok
+    # The small-excess filter reads the h of the shape's key.
+    shapes = {*_bounded_connected_shapes(4, 7), *preabelian_example_shapes()}
+    assert set(calls) == shapes and max(calls.values()) <= 2
+
+
+@pytest.mark.parametrize("suite, oracle", GROUPED_SUITES, ids=lambda f: f.__name__)
+def test_grouped_suites_match_the_per_shape_loops(suite, oracle):
+    assert suite(5, 9).to_json() == oracle(5, 9).to_json()
+
+
+@pytest.mark.parametrize("suite, oracle", GROUPED_SUITES, ids=lambda f: f.__name__)
+def test_a_broken_grid_fails_every_shape_that_has_it(monkeypatch, suite, oracle):
+    broken = _hook_grid(jt_matrix(skew_shape((3, 3, 1), (1,))).sub)
+    real_immanant_characters = immanants.verify.immanant_characters
+
+    def off_by_one_on_the_broken_grid(shape, thetas):
+        gammas = real_immanant_characters(shape, thetas)
+        if _hook_grid(jt_matrix(shape).sub) != broken:
+            return gammas
+        identity = (1,) * shape.rows
+        return {
+            theta: ClassFunction(shape.rows, {**g.values, identity: g.values[identity] + 1})
+            for theta, g in gammas.items()
+        }
+
+    monkeypatch.setattr("immanants.verify.immanant_characters", off_by_one_on_the_broken_grid)
+    report, want = suite(5, 9), oracle(5, 9)
+    assert report.to_json() == want.to_json()
+    shapes = [
+        shape
+        for shape in _bounded_connected_shapes(5, 9)
+        if _hook_grid(jt_matrix(shape).sub) == broken
+    ]
+    assert len(shapes) == 46  # of 3 to 9 boxes, so five hook lists
+    # One failure per hook of each such shape, under its own "shape".
+    assert [(f["shape"], f["theta"]) for f in report.failures] == [
+        (shape.to_json(), list(theta)) for shape in shapes for theta in _shape_hooks(shape)
+    ]
+
+
+def test_hook_suite_counts_covers_once_per_distinct_key(monkeypatch):
+    module = sys.modules["immanants.immanant_characters"]  # the package binds the function
+    real_cycle_cover_counts = module.cycle_cover_counts
+    grids = []
+
+    def counted(sub):
+        if any(x > 0 for row in sub for x in row):  # not a summand's 0/-1 pattern
+            grids.append(sub)
+        return real_cycle_cover_counts(sub)
+
+    monkeypatch.setattr(module, "cycle_cover_counts", counted)
+    assert suite_hook(5, 9).instances == 3109
+    # 811 shapes, 113 distinct (grid, h, h', hooks), 37 distinct grids.
+    assert len(grids) == 113 and len(set(grids)) == 37
+
+
 def test_hook_check_compares_the_multiplicity_in_hand(monkeypatch):
     calls = 0
     real_multiplicity = HookDecomposition.multiplicity
@@ -314,19 +420,19 @@ def failing_thetas(report):
 
 
 @pytest.mark.parametrize("sabotage", SABOTAGES, ids=lambda f: f.__name__ if f else "true")
-def test_bitmask_hook_check_matches_the_per_permutation_oracle(monkeypatch, sabotage):
+def test_class_level_hook_check_matches_the_per_permutation_oracle(monkeypatch, sabotage):
     def sabotaged(decomp):
         return sabotage(decomp) if sabotage and decomp.summands else decomp
 
     def decompose(theta, shape):
         return sabotaged(hook_decomposition(theta, shape))
 
-    real_hook_decompositions = immanants.verify.hook_decompositions
+    real_hook_expansions = immanants.verify._hook_expansions
 
-    def decompose_all(shape, thetas):
-        return {t: sabotaged(d) for t, d in real_hook_decompositions(shape, thetas).items()}
+    def decompose_all(*args):
+        return {t: sabotaged(d) for t, d in real_hook_expansions(*args).items()}
 
-    monkeypatch.setattr("immanants.verify.hook_decompositions", decompose_all)
+    monkeypatch.setattr("immanants.verify._hook_expansions", decompose_all)
     failing = 0
     for shape in _bounded_connected_shapes(6, 8):
         thetas = _shape_hooks(shape)
