@@ -87,7 +87,10 @@ def cmd_kostka(args) -> int:
     from .tableaux import kostka
 
     theta = parse_partition(args.theta)
-    content = tuple(int(x) for x in args.content.split(",")) if args.content not in ("-", "") else ()
+    try:
+        content = tuple(map(int, args.content.split(","))) if args.content not in ("-", "") else ()
+    except ValueError as exc:
+        raise ValueError(f"invalid content {args.content!r}: {exc}")
     value = kostka(theta, content)
     if args.format == "json":
         print(_dumps({"theta": list(theta), "content": list(content), "kostka": value}))

@@ -189,13 +189,7 @@ def hook_decompositions(shape: SkewShape, thetas) -> dict[Partition, HookDecompo
     for all of them.  Requires a shape with at least one row and no empty
     rows; callers must strip empty rows first (see reductions.remove_empty_rows).
     """
-    legs = _hook_legs(shape, [check_partition(theta) for theta in thetas])
-    # a row and no empty one, so h'(j) >= j and hess_prime cannot raise
-    return _hook_expansions(shape, legs, hessenberg_from_skew(shape), hess_prime(shape))
-
-
-def _hook_legs(shape: SkewShape, thetas: list[Partition]) -> dict[Partition, int]:
-    """The leg of each theta, once every theta and the shape admit a hook expansion."""
+    thetas = [check_partition(theta) for theta in thetas]
     legs = {}
     for theta in thetas:
         legs[theta] = hook_leg(theta)
@@ -204,13 +198,8 @@ def _hook_legs(shape: SkewShape, thetas: list[Partition]) -> dict[Partition, int
         raise ValueError("shape has empty rows; remove them first (remove_empty_rows)")
     if shape.rows == 0:
         raise ValueError("the hook expansion needs a shape with at least one row")
-    return legs
-
-
-def _hook_expansions(
-    shape: SkewShape, legs: dict, base: HessenbergFunction, prime: HessenbergFunction
-) -> dict[Partition, HookDecomposition]:
-    """`hook_decompositions` from each theta's leg and the shape's h and h'."""
+    # a row and no empty one, so h'(j) >= j and hess_prime cannot raise
+    base, prime = hessenberg_from_skew(shape), hess_prime(shape)
     n = shape.rows
     out = {}
     for theta, k in legs.items():

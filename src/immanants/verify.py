@@ -14,6 +14,7 @@ from operator import sub
 
 from .characters import (
     ClassFunction,
+    HPositiveDecomposition,
     character_table,
     h_positive_decomposition,
     induced_trivial_character,
@@ -24,22 +25,14 @@ from .characters import (
 )
 from .immanant_characters import (
     _checked_coefficient,
-    _hook_expansions,
     _hook_grid,
-    _hook_legs,
     hook_decompositions,
     immanant_character,
     immanant_characters,
     is_dahlberg_small,
     stanley_stembridge_character,
 )
-from .jacobitrudi import (
-    HessenbergFunction,
-    hess_prime,
-    hessenberg_from_skew,
-    immanant,
-    jt_matrix,
-)
+from .jacobitrudi import hessenberg_from_skew, immanant, jt_matrix
 from .reductions import (
     components,
     immanant_character_from_components,
@@ -97,7 +90,7 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
     theorem holds as a class-function identity.  Its two sides come from
     different grids: gamma_theta from one `immanant_characters` call on the
     Jacobi-Trudi grid clipped to -1, 0 and 1, and sum mult * SS(h) from
-    each summand's own 0/-1 pattern.  The one-shape case of `_verify_hooks`.
+    each summand's own 0/-1 pattern.
 
     The identity needs no check permutation by permutation.  Subscript
     (i, n) is mu_i - nu_n - i + n, at least the width of row n, so on a
@@ -109,54 +102,39 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
     That identity holds for every w by counting alone; what is left to
     check is the class-function identity, which compares two kernels.
     """
-    return _verify_hooks([(shape, [check_partition(theta) for theta in thetas])])
+    thetas = [check_partition(theta) for theta in thetas]
+    return _once_per_grid("hook-expansion", [(shape, thetas)], _hook_failures)
 
 
-def _verify_hooks(pairs) -> CheckReport:
-    """The hook check of each (shape, checked thetas) pair, once per distinct `_hook_key`.
+def _once_per_grid(name: str, pairs, failures_of) -> CheckReport:
+    """Check each (shape, thetas) pair by failures_of, once per distinct clipped grid and thetas.
 
-    Every theta of every shape still counts as one instance, and each shape
-    gets its key's failures under its own "shape", in the order of the pairs.
+    The Jacobi-Trudi grid clipped to -1, 0 and 1 fixes gamma_theta at every
+    hook theta, and h and h' too: h(j) is the last row whose clipped entry
+    is at least 0, h'(j) the last whose entry is 1.  So shapes with equal
+    keys have equal checks up to the "shape" in their failures.  Every
+    theta of every shape still counts as one instance, and each shape gets
+    its key's failures under its own "shape", in the order of the pairs.
     """
-    report = CheckReport("hook-expansion")
+    report = CheckReport(name)
     checked: dict[tuple, list[dict]] = {}
     for shape, thetas in pairs:
         if not thetas:
             continue
-        legs = _hook_legs(shape, thetas)
-        key, base, prime = _hook_key(shape, thetas)
+        key = (_hook_grid(jt_matrix(shape).sub), tuple(thetas))
         if key not in checked:
-            decomps = _hook_expansions(shape, legs, base, prime)
-            checked[key] = _hook_failures(shape, thetas, decomps)
-        _add_shape(report, shape, thetas, checked[key])
+            checked[key] = failures_of(shape, thetas)
+        report.instances += len(thetas)
+        shape_json = shape.to_json()
+        report.failures += [{**failure, "shape": shape_json} for failure in checked[key]]
     return report
 
 
-def _hook_key(
-    shape: SkewShape, thetas: list
-) -> tuple[tuple, HessenbergFunction, HessenbergFunction]:
-    """What a hook check reads of a shape, with the shape's h and h'.
-
-    The grid clipped to -1, 0 and 1 fixes gamma_theta at every hook theta,
-    and h and h' fix the summands, so shapes with equal keys have equal
-    checks up to the "shape" in their failures.
-    """
-    base, prime = hessenberg_from_skew(shape), hess_prime(shape)
-    key = (_hook_grid(jt_matrix(shape).sub), base.values, prime.values, tuple(thetas))
-    return key, base, prime
-
-
-def _add_shape(report: CheckReport, shape: SkewShape, thetas: list, failures: list[dict]) -> None:
-    """Count one instance per theta of the shape, and add its key's failures as its own."""
-    report.instances += len(thetas)
-    shape_json = shape.to_json()
-    report.failures += [{**failure, "shape": shape_json} for failure in failures]
-
-
-def _hook_failures(shape: SkewShape, thetas: list, decomps: dict) -> list[dict]:
-    """The failures of the hook check of one shape, given its expansions."""
-    failures = []
+def _hook_failures(shape: SkewShape, thetas: list) -> list[dict]:
+    """The failures of the hook check of one shape; bad input is refused before any count."""
+    decomps = hook_decompositions(shape, thetas)
     gammas = immanant_characters(shape, thetas)
+    failures = []
     n = shape.rows
     for theta in thetas:
         decomp = decomps[theta]
@@ -210,11 +188,13 @@ def _shape_hooks(shape: SkewShape) -> list:
 def suite_hook(max_n: int = 5, max_size: int = 9) -> CheckReport:
     """Hook expansion over every connected shape and hook within bounds.
 
-    Each distinct (hook grid, h, h', hooks) is checked once; every shape
-    still counts as one instance per hook and gets its own failures.
+    Each distinct (clipped grid, hooks) is checked once; every shape still
+    counts as one instance per hook and gets its own failures.
     """
-    return _verify_hooks(
-        (shape, _shape_hooks(shape)) for shape in _bounded_connected_shapes(max_n, max_size)
+    return _once_per_grid(
+        "hook-expansion",
+        ((shape, _shape_hooks(shape)) for shape in _bounded_connected_shapes(max_n, max_size)),
+        _hook_failures,
     )
 
 
@@ -451,22 +431,19 @@ def preabelian_example_shapes() -> list[SkewShape]:
 def suite_positivity(max_n: int = 5, max_size: int = 8) -> CheckReport:
     """Induced-trivial positivity on the pre-abelian and small-excess families.
 
-    Each distinct (hook grid, h, h', hooks) is checked once; every shape
-    still counts as one instance per hook and gets its own failures.
+    Each distinct (clipped grid, hooks) is checked once; every shape still
+    counts as one instance per hook and gets its own failures.
     """
-    report = CheckReport("hook-positivity")
-    checked: dict[tuple, list[dict]] = {}
-    examples = [(shape, False) for shape in preabelian_example_shapes()]
-    bounded = ((shape, True) for shape in _bounded_connected_shapes(max_n, max_size))
-    for shape, small_only in chain(examples, bounded):
-        thetas = _shape_hooks(shape)
-        key, base, _ = _hook_key(shape, thetas)
-        if small_only and not is_dahlberg_small(base):
-            continue
-        if key not in checked:
-            checked[key] = _positivity_failures(shape, thetas)
-        _add_shape(report, shape, thetas, checked[key])
-    return report
+    small = (
+        shape
+        for shape in _bounded_connected_shapes(max_n, max_size)
+        if is_dahlberg_small(hessenberg_from_skew(shape))
+    )
+    return _once_per_grid(
+        "hook-positivity",
+        ((shape, _shape_hooks(shape)) for shape in chain(preabelian_example_shapes(), small)),
+        _positivity_failures,
+    )
 
 
 def _positivity_failures(shape: SkewShape, thetas: list) -> list[dict]:
@@ -506,8 +483,10 @@ def scan_records(max_n: int, max_size: int):
     Every record carries the induced-trivial expansion of the immanant
     character; hooks additionally carry their proven expansion.  The
     records report evidence only and assert nothing about open cases.
-    The records of one shape share its "shape" and "h" values.
+    The records of one shape share its "shape" and "h" values, and each
+    distinct class function is expanded once per call.
     """
+    expanded: dict[tuple, HPositiveDecomposition] = {}
     for shape in _bounded_connected_shapes(max_n, max_size):
         shape_json = shape.to_json()
         h_values = list(hessenberg_from_skew(shape).values)
@@ -517,7 +496,9 @@ def scan_records(max_n: int, max_size: int):
         gammas = immanant_characters(shape)
         hooks = hook_decompositions(shape, filter(is_hook, gammas))
         for theta, gamma in gammas.items():
-            dec = h_positive_decomposition(gamma)
+            key = tuple(gamma.values.items())
+            if (dec := expanded.get(key)) is None:
+                dec = expanded[key] = h_positive_decomposition(gamma)
             record = {
                 "shape": shape_json,
                 "theta": list(theta),

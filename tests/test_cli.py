@@ -189,6 +189,8 @@ def test_decompose_refuses_the_empty_shape(capsys):
 INVALID_INPUT_STDERR = {
     ("kostka", "--theta", "1,2", "--content", "1,2"):
         "invalid partition '1,2': not weakly decreasing: [1, 2]",
+    ("kostka", "--theta", "2", "--content", "1,,1"):
+        "invalid content '1,,1': invalid literal for int() with base 10: ''",
     ("gamma", "--outer", "2,2", "--inner", "3", "--theta", "1"):
         "invalid shape: inner [3] does not fit inside outer [2, 2]",
     ("immanant", "--outer", "2,2", "--char", "bogus"):

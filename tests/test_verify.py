@@ -224,15 +224,15 @@ def test_per_shape_hook_check_blames_only_the_broken_theta(monkeypatch):
     shape = skew_shape((3, 3, 3, 1), (1, 1))
     hooks = [hook_partition(shape.size, k) for k in range(shape.rows)]
     broken = hooks[1]
-    real_hook_expansions = immanants.verify._hook_expansions
+    real_hook_decompositions = immanants.verify.hook_decompositions
 
-    def drop_one_summand(*args):
-        decomps = real_hook_expansions(*args)
+    def drop_one_summand(shape, thetas):
+        decomps = real_hook_decompositions(shape, thetas)
         if broken in decomps:
             decomps[broken] = drop_first_summand(decomps[broken])
         return decomps
 
-    monkeypatch.setattr("immanants.verify._hook_expansions", drop_one_summand)
+    monkeypatch.setattr("immanants.verify.hook_decompositions", drop_one_summand)
     report = verify_hook_decompositions(shape, hooks)
     assert report.instances == len(hooks)
     assert {tuple(f["theta"]) for f in report.failures} == {broken}
@@ -273,6 +273,28 @@ def test_hook_check_refuses_the_empty_shape():
         verify_hook_decomposition((), skew_shape(()))
 
 
+def test_hook_check_refuses_bad_input_before_any_count(monkeypatch):
+    def no_count(sub):
+        raise AssertionError("cycle_cover_counts called")
+
+    module = sys.modules["immanants.immanant_characters"]  # the package binds the function
+    monkeypatch.setattr(module, "cycle_cover_counts", no_count)
+    empty_rows = skew_shape((2, 2), (), 3)
+    for shape in (skew_shape(()), empty_rows):
+        report = verify_hook_decompositions(shape, [])
+        assert report.ok and report.instances == 0
+    shape = skew_shape((3, 3, 1), (1,))
+    refusals = [
+        (shape, (3, 3), "[3, 3] is not a hook"),
+        (shape, (4, 1), "theta has size 5 but the shape has 6 boxes"),
+        (empty_rows, (3, 1), "shape has empty rows; remove them first (remove_empty_rows)"),
+    ]
+    for bad_shape, theta, text in refusals:
+        with pytest.raises(ValueError) as caught:
+            verify_hook_decompositions(bad_shape, [theta])
+        assert str(caught.value) == text
+
+
 def test_scan_records_structure_and_determinism():
     first = list(scan_records(2, 4))
     second = list(scan_records(2, 4))
@@ -305,7 +327,8 @@ def test_scan_identity_kostka_matches_the_public_wrapper():
     assert records > 1000
 
 
-def test_scan_computes_h_and_h_prime_once_per_shape(monkeypatch):
+def count_leading_runs(monkeypatch):
+    """Count `_leading_run` calls, so h and h' computations, by shape."""
     real_leading_run = immanants.jacobitrudi._leading_run
     calls = Counter()
 
@@ -314,38 +337,28 @@ def test_scan_computes_h_and_h_prime_once_per_shape(monkeypatch):
         return real_leading_run(shape, least)
 
     monkeypatch.setattr(immanants.jacobitrudi, "_leading_run", counted)
+    return calls
+
+
+def test_scan_computes_h_and_h_prime_once_per_shape(monkeypatch):
+    calls = count_leading_runs(monkeypatch)
     shapes = {SkewShape.from_json(record["shape"]) for record in scan_records(4, 7)}
     # The record's "h", then h and h' for every hook theta of the shape at once.
     assert set(calls) == shapes and max(calls.values()) <= 3
 
 
-def test_hook_suite_computes_h_and_h_prime_once_per_shape(monkeypatch):
-    real_leading_run = immanants.jacobitrudi._leading_run
-    calls = Counter()
-
-    def counted(shape, least):
-        calls[shape] += 1
-        return real_leading_run(shape, least)
-
-    monkeypatch.setattr(immanants.jacobitrudi, "_leading_run", counted)
-    assert suite_hook(4, 7).ok
-    # h and h' once for all the hook thetas of a shape, not once per theta.
-    assert set(calls) == set(_bounded_connected_shapes(4, 7)) and max(calls.values()) <= 2
+def test_hook_suite_computes_h_and_h_prime_once_per_key(monkeypatch):
+    calls = count_leading_runs(monkeypatch)
+    assert suite_hook(5, 9).ok
+    # h and h' once for each of the 113 distinct (clipped grid, hooks), not per shape.
+    assert sum(calls.values()) == 226 and max(calls.values()) == 2
 
 
-def test_positivity_suite_computes_h_and_h_prime_once_per_shape(monkeypatch):
-    real_leading_run = immanants.jacobitrudi._leading_run
-    calls = Counter()
-
-    def counted(shape, least):
-        calls[shape] += 1
-        return real_leading_run(shape, least)
-
-    monkeypatch.setattr(immanants.jacobitrudi, "_leading_run", counted)
+def test_positivity_suite_computes_h_once_per_bounded_shape(monkeypatch):
+    calls = count_leading_runs(monkeypatch)
     assert suite_positivity(4, 7).ok
-    # The small-excess filter reads the h of the shape's key.
-    shapes = {*_bounded_connected_shapes(4, 7), *preabelian_example_shapes()}
-    assert set(calls) == shapes and max(calls.values()) <= 2
+    # The small-excess filter reads h; the key is the clipped grid, not h and h'.
+    assert calls == Counter(_bounded_connected_shapes(4, 7))
 
 
 @pytest.mark.parametrize("suite, oracle", GROUPED_SUITES, ids=lambda f: f.__name__)
@@ -427,12 +440,12 @@ def test_class_level_hook_check_matches_the_per_permutation_oracle(monkeypatch, 
     def decompose(theta, shape):
         return sabotaged(hook_decomposition(theta, shape))
 
-    real_hook_expansions = immanants.verify._hook_expansions
+    real_hook_decompositions = immanants.verify.hook_decompositions
 
-    def decompose_all(*args):
-        return {t: sabotaged(d) for t, d in real_hook_expansions(*args).items()}
+    def decompose_all(shape, thetas):
+        return {t: sabotaged(d) for t, d in real_hook_decompositions(shape, thetas).items()}
 
-    monkeypatch.setattr("immanants.verify._hook_expansions", decompose_all)
+    monkeypatch.setattr("immanants.verify.hook_decompositions", decompose_all)
     failing = 0
     for shape in _bounded_connected_shapes(6, 8):
         thetas = _shape_hooks(shape)
