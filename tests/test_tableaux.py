@@ -296,6 +296,18 @@ def test_kostka_invariance_under_reorder_and_zeros():
             assert kostka(theta, shuffled) == value
 
 
+def test_kostka_invariance_over_the_hook_suite_contents():
+    """Every raw content of `suite_kostka`'s grid counts as its normalised content."""
+    for raw in product(range(5), repeat=6):
+        if (total := sum(raw)) > 9:
+            continue
+        c = _normalize_content(raw)
+        for theta in partitions_of(total):
+            assert kostka(theta, raw) == kostka(theta, c), (theta, raw)
+        for theta in hooks_of(total):
+            assert kostka_hook(theta, raw) == kostka_hook(theta, c), (theta, raw)
+
+
 def test_kostka_matches_strip_oracle():
     for n in range(1, 7):
         for theta in partitions_of(n):

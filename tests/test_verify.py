@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from collections import Counter
+from itertools import product
 from operator import getitem
 
 import pytest
@@ -21,6 +22,7 @@ from immanants import (
     hessenberg_from_skew,
     hook_decomposition,
     hook_partition,
+    hooks_of,
     immanant_character,
     is_dahlberg_small,
     is_hook,
@@ -33,6 +35,7 @@ from immanants import (
 )
 from immanants.immanant_characters import _hook_grid
 from immanants.permutations import conjugacy_classes
+from immanants.tableaux import _normalize_content
 from immanants.verify import (
     CheckReport,
     _bounded_connected_shapes,
@@ -138,6 +141,24 @@ def per_shape_suite_positivity(max_n, max_size):
                 report.failures.append(
                     {"shape": shape.to_json(), "theta": list(theta), "coeffs": dec.to_json()}
                 )
+    return report
+
+
+def per_raw_content_suite_kostka(max_n, max_size):
+    """`suite_kostka` comparing the two counts once per (theta, raw content)."""
+    report = CheckReport("hook-kostka")
+    by_total = {}
+    for content in product(range(5), repeat=6):
+        if (size := sum(content)) <= max_size:
+            by_total.setdefault(size, []).append(content)
+    for total in range(0, max_size + 1):
+        for theta in hooks_of(total):
+            for content in by_total.get(total, ()):
+                report.instances += 1
+                if immanants.verify.kostka(theta, content) != immanants.verify.kostka_hook(
+                    theta, content
+                ):
+                    report.failures.append({"theta": list(theta), "content": list(content)})
     return report
 
 
@@ -394,6 +415,44 @@ def test_a_broken_grid_fails_every_shape_that_has_it(monkeypatch, suite, oracle)
     assert [(f["shape"], f["theta"]) for f in report.failures] == [
         (shape.to_json(), list(theta)) for shape in shapes for theta in _shape_hooks(shape)
     ]
+
+
+def test_kostka_suite_matches_the_per_raw_content_loop():
+    report = suite_kostka(5, 9)
+    assert report.instances == 27991
+    assert report.to_json() == per_raw_content_suite_kostka(5, 9).to_json()
+
+
+def test_a_wrong_hook_formula_fails_every_raw_content_of_its_class(monkeypatch):
+    real_kostka_hook = immanants.verify.kostka_hook
+    broken = {((4, 1), (2, 2, 1)), ((3, 1, 1, 1), (2, 1, 1, 1, 1)), ((9,), (3, 3, 3))}
+
+    def wrong_on_broken_classes(theta, content):
+        value = real_kostka_hook(theta, content)
+        return value + 1 if (tuple(theta), _normalize_content(content)) in broken else value
+
+    monkeypatch.setattr("immanants.verify.kostka_hook", wrong_on_broken_classes)
+    report, want = suite_kostka(5, 9), per_raw_content_suite_kostka(5, 9)
+    assert report.failures == want.failures and report.instances == want.instances
+    # 60 arrangements of (2,2,1,0,0,0), 30 of (2,1,1,1,1,0), 20 of (3,3,3,0,0,0).
+    assert len(report.failures) == 110
+    assert {
+        (tuple(f["theta"]), _normalize_content(f["content"])) for f in report.failures
+    } == broken
+
+
+def test_kostka_suite_counts_each_distinct_class_once(monkeypatch):
+    real_kostka = immanants.verify.kostka
+    calls = Counter()
+
+    def counted(theta, content):
+        calls[tuple(theta), _normalize_content(content)] += 1
+        return real_kostka(theta, content)
+
+    monkeypatch.setattr("immanants.verify.kostka", counted)
+    assert suite_kostka(5, 9).instances == 27991
+    # One comparison per (hook theta, normalised content), not one per raw content.
+    assert len(calls) == 419 and set(calls.values()) == {1}
 
 
 def test_hook_suite_counts_covers_once_per_distinct_key(monkeypatch):
