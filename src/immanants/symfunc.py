@@ -29,8 +29,11 @@ from .tableaux import (
 
 BASES = ("m", "h", "s", "p")
 
-#: Character tables grow super-polynomially; everything in this artifact
-#: needs degree <= 9, so 12 leaves headroom without inviting blowups.
+#: The largest degree in use: the `wide` benchmark converts a degree-11
+#: immanant to the s basis and the CLI pins degree-12 output.  The change
+#: of basis is cheap there (the degree-12 Kostka and character tables take
+#: milliseconds); `immanant` checks the bound before its Jacobi-Trudi walk,
+#: whose cost grows far faster with the degree.
 MAX_DEGREE = 12
 
 

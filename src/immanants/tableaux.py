@@ -4,8 +4,8 @@ Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the partition of 0.  All counting here is exact integer
 arithmetic: Kostka numbers, skew Kostka numbers and the columns of the
 Kostka matrix count chains of horizontal strips (the Pieri rule, one
-strip step for all three), and Littlewood-Richardson coefficients count
-lattice fillings.
+prefix-sharing walk for all three), and Littlewood-Richardson
+coefficients count lattice fillings.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def _strips(outer: Partition, mu: tuple[int, ...], size: int) -> tuple[tuple[int
     rows = len(outer)
     # Row i may grow up to min(outer_i, mu_{i-1}); only rows with room
     # recurse, so the depth is at most the number of distinct parts.
-    caps = [min(o, a) for o, a in zip(outer, (outer[0],) + mu)]
+    caps = [min(o, a) for o, a in zip(outer, outer[:1] + mu)]
     free = [i for i in range(rows) if mu[i] < caps[i]]
     room = [0] * (len(free) + 1)
     for j in range(len(free) - 1, -1, -1):
@@ -270,20 +270,35 @@ def _strips(outer: Partition, mu: tuple[int, ...], size: int) -> tuple[tuple[int
     return tuple(out)
 
 
-def _pieri_step(
-    layer: dict[tuple[int, ...], int], outer: Partition, size: int
-) -> dict[tuple[int, ...], int]:
-    """Add one horizontal strip of `size` boxes to every shape in `layer`.
+def _pieri_layers(
+    outer: Partition, inner: Partition, contents: Iterable[Partition]
+) -> dict[Partition, dict[tuple[int, ...], int]]:
+    """The last Pieri layer of each distinct content, keyed by content.
 
-    `layer` maps shapes, padded with zeros to len(outer) rows, to the number
-    of chains reaching them; the result maps each shape nu inside `outer`
-    with nu/mu a horizontal strip of `size` boxes to the sum of those counts.
+    A layer maps shapes, padded with zeros to len(outer) rows, to the number
+    of chains inner = mu_0 < mu_1 < ... < mu_k = mu inside `outer` in which
+    mu_i/mu_{i-1} is a horizontal strip of content[i-1] boxes.  Contents are
+    visited in sorted order, so each starts from the layer of the longest
+    prefix it shares with the one before, and each distinct prefix takes one
+    strip step on its parent's layer.
     """
-    grown: dict[tuple[int, ...], int] = {}
-    for mu, ways in layer.items():
-        for nu in _strips(outer, mu, size):
-            grown[nu] = grown.get(nu, 0) + ways
-    return grown
+    path = [{inner + (0,) * (len(outer) - len(inner)): 1}]  # path[k]: after k parts
+    last: dict[Partition, dict[tuple[int, ...], int]] = {}
+    before: Partition = ()
+    for content in sorted(set(contents)):
+        shared = 0
+        while shared < min(len(before), len(content)) and before[shared] == content[shared]:
+            shared += 1
+        del path[shared + 1:]
+        for size in content[shared:]:
+            grown: dict[tuple[int, ...], int] = {}
+            for mu, ways in path[-1].items():
+                for nu in _strips(outer, mu, size):
+                    grown[nu] = grown.get(nu, 0) + ways
+            path.append(grown)
+        last[content] = path[-1]
+        before = content
+    return last
 
 
 @cache
@@ -292,16 +307,11 @@ def _ssyt_count(outer: Partition, inner: Partition, content: Partition) -> int:
 
     The cells holding one letter form a horizontal strip (Pieri rule), so a
     filling is a chain inner = mu_0 < mu_1 < ... < mu_m = outer in which
-    mu_k/mu_{k-1} is a horizontal strip of content[k-1] boxes.  The number
-    of chains reaching each mu_k is carried one letter (`_pieri_step`) at a
-    time.  `content` is assumed normalized (positive, weakly decreasing).
+    mu_k/mu_{k-1} is a horizontal strip of content[k-1] boxes: the count at
+    `outer` in the content's last `_pieri_layers` layer.  `content` is
+    assumed normalized (positive, weakly decreasing).
     """
-    if sum(content) != sum(outer) - sum(inner):
-        return 0
-    layer = {inner + (0,) * (len(outer) - len(inner)): 1}
-    for size in content:
-        layer = _pieri_step(layer, outer, size)
-    return layer.get(outer, 0)
+    return _pieri_layers(outer, inner, (content,))[content].get(outer, 0)
 
 
 def _normalize_content(content: Iterable[int]) -> Partition | None:
@@ -396,20 +406,9 @@ def kostka_matrix(n: int) -> dict[Partition, dict[Partition, int]]:
     lam in the canonical (lex-decreasing) order, and K[theta][theta]=1.
     """
     parts = partitions_of(n)
-    # Column lam is the Pieri layer reached from () by lam's parts.  Contents
-    # are walked depth first, so each prefix (a partition of at most n) is
-    # one strip step on its parent's layer; rows of length n never bind.
-    outer = (n,) * n
-    columns: dict[Partition, dict[tuple[int, ...], int]] = {}
-
-    def rec(prefix: Partition, layer: dict[tuple[int, ...], int], remaining: int) -> None:
-        if remaining == 0:
-            columns[prefix] = layer
-            return
-        for part in range(min(remaining, prefix[-1] if prefix else n), 0, -1):
-            rec(prefix + (part,), _pieri_step(layer, outer, part), remaining - part)
-
-    rec((), {(0,) * n: 1}, n)
+    # Column lam is the Pieri layer reached from () by lam's parts; rows of
+    # length n never bind.
+    columns = _pieri_layers((n,) * n, (), parts)
     pad = {theta: theta + (0,) * (n - len(theta)) for theta in parts}
     return {
         theta: {lam: columns[lam].get(pad[theta], 0) for lam in parts}

@@ -199,26 +199,18 @@ def suite_hook(max_n: int = 5, max_size: int = 9) -> CheckReport:
     )
 
 
-def verify_character_equality(
-    name: str, lhs: ClassFunction, rhs: ClassFunction, context: dict
-) -> CheckReport:
-    report = CheckReport(name, instances=1)
-    if lhs != rhs:
-        diffs = {
-            str(list(rho)): [lhs.values[rho], rhs.values[rho]]
-            for rho in lhs.values
-            if lhs.values[rho] != rhs.values.get(rho)
-        }
-        report.failures.append({**context, "differs_at": diffs})
-    return report
-
-
 def _agree(name: str, context: dict, gammas: dict, other) -> CheckReport:
-    """Check that each theta's character in gammas equals other(theta)."""
-    report = CheckReport(name)
-    for theta, gamma in gammas.items():
-        where = {**context, "theta": list(theta)}
-        report.merge(verify_character_equality(name, gamma, other(theta), where))
+    """Check that each theta's character in gammas equals other(theta), one instance each."""
+    report = CheckReport(name, instances=len(gammas))
+    for theta, lhs in gammas.items():
+        rhs = other(theta)
+        if lhs != rhs:
+            diffs = {
+                str(list(rho)): [lhs.values[rho], rhs.values[rho]]
+                for rho in lhs.values
+                if lhs.values[rho] != rhs.values.get(rho)
+            }
+            report.failures.append({**context, "theta": list(theta), "differs_at": diffs})
     return report
 
 

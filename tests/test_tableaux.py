@@ -28,6 +28,7 @@ from immanants import (
 from immanants.symfunc import MAX_DEGREE
 from immanants.tableaux import (
     _normalize_content,
+    _pieri_layers,
     _ssyt_count,
     _strips,
     check_partition,
@@ -54,6 +55,22 @@ def horizontal_strips(outer, size):
 
     rec(0, [], 0)
     return out
+
+
+def per_content_strip_chain(outer, inner, content):
+    """The last Pieri layer of one content, stepped part by part from `inner`.
+
+    No prefix is shared with any other content.  A layer maps shapes padded
+    to len(outer) rows to the number of strip chains reaching them.
+    """
+    layer = {inner + (0,) * (len(outer) - len(inner)): 1}
+    for size in content:
+        grown = {}
+        for mu, ways in layer.items():
+            for nu in _strips(outer, mu, size):
+                grown[nu] = grown.get(nu, 0) + ways
+        layer = grown
+    return layer
 
 
 def ssyt_count_oracle(outer, inner, content):
@@ -335,28 +352,68 @@ def test_kostka_matrix_matches_the_entrywise_oracle():
             (theta, list(row)) for theta, row in want.items()], n
 
 
-def test_kostka_matrix_takes_one_strip_step_per_content_prefix(monkeypatch):
-    # Each partition of m <= n is the prefix of some content of n, and one
-    # step extends it; entrywise counting would take p(n)^2 chains instead.
-    steps = 0
-    step = tableaux._pieri_step
+def count_strips_lookups(monkeypatch):
+    """Route the kernel's `_strips` lookups through a counter; returns the counts."""
+    counts = {"lookups": 0}
 
     def counted(*args):
-        nonlocal steps
-        steps += 1
-        return step(*args)
+        counts["lookups"] += 1
+        return _strips(*args)
 
-    monkeypatch.setattr(tableaux, "_pieri_step", counted)
+    monkeypatch.setattr(tableaux, "_strips", counted)
+    return counts
+
+
+def test_kostka_matrix_takes_one_strip_step_per_content_prefix(monkeypatch):
+    # Each partition of m <= n is the prefix of some content of n, and one
+    # step extends it: one lookup per shape in its parent prefix's layer.
+    # Entrywise counting would take p(n)^2 chains instead.
+    counts = count_strips_lookups(monkeypatch)
+    total = 0
     try:
         for n in range(12):
             kostka_matrix.cache_clear()
-            steps = 0
+            counts["lookups"] = 0
             kostka_matrix(n)
-            assert steps == sum(len(partitions_of(m)) for m in range(1, n + 1)), n
-        assert steps == 194
+            assert counts["lookups"] == sum(
+                len(per_content_strip_chain((n,) * n, (), prefix[:-1]))
+                for m in range(1, n + 1) for prefix in partitions_of(m)), n
+            total += counts["lookups"]
+        assert total == 3987
     finally:
         # Drop the matrices built through the wrapper; later calls rebuild them.
         kostka_matrix.cache_clear()
+
+
+def test_pieri_layers_step_each_distinct_prefix_once(monkeypatch):
+    # Every outer with at most 4 rows and parts at most 4, every inner inside
+    # it.  Each content set is unsorted, repeats a content and holds a proper
+    # prefix of another (of a smaller size, or the empty content).
+    counts = count_strips_lookups(monkeypatch)
+    rng = random.Random(24)
+    outers = [p for n in range(17) for p in partitions_of(n) if len(p) <= 4 and (not p or p[0] <= 4)]
+    checked = 0
+    for outer in outers:
+        for m in range(sum(outer) + 1):
+            for inner in partitions_of(m):
+                if not contains(inner, outer):
+                    continue
+                fits = partitions_of(sum(outer) - m)
+                picked = rng.sample(fits, min(6, len(fits)))
+                contents = [*picked, picked[0], picked[-1][:-1]]
+                rng.shuffle(contents)
+                distinct = set(contents)
+                prefixes = {c[:k] for c in distinct for k in range(1, len(c) + 1)}
+                counts["lookups"] = 0
+                got = _pieri_layers(outer, inner, contents)
+                assert counts["lookups"] == sum(
+                    len(per_content_strip_chain(outer, inner, p[:-1])) for p in prefixes
+                ), (outer, inner, contents)
+                assert len(got) == len(distinct) and set(got) == distinct
+                for c in distinct:
+                    assert got[c] == per_content_strip_chain(outer, inner, c), (outer, inner, c)
+                checked += 1
+    assert checked == 1764
 
 
 def test_strips_match_the_definition_exhaustively():
@@ -405,20 +462,26 @@ def test_inverse_kostka_matrix():
 
 
 def test_ssyt_count_matches_enumeration_exhaustively():
-    # Every outer with at most 8 boxes, every inner inside it, every content.
-    checked = 0
+    # Every outer with at most 8 boxes, every inner inside it, every content
+    # of the skew size, and every content one box smaller or larger, which
+    # counts 0 with no size check in the kernel.
+    checked = off_size = 0
     for n in range(9):
         for outer in partitions_of(n):
             for m in range(n + 1):
                 for inner in partitions_of(m):
                     if not contains(inner, outer):
                         continue
-                    for content in partitions_of(n - m):
-                        got = _ssyt_count(outer, inner, content)
-                        assert got == ssyt_enumeration_oracle(outer, inner, content), (
-                            outer, inner, content)
-                        checked += 1
-    assert checked == 4136
+                    for size in range(max(n - m - 1, 0), n - m + 2):
+                        for content in partitions_of(size):
+                            got = _ssyt_count(outer, inner, content)
+                            assert got == ssyt_enumeration_oracle(outer, inner, content), (
+                                outer, inner, content)
+                            if size != n - m:
+                                assert got == 0, (outer, inner, content)
+                                off_size += 1
+                            checked += 1
+    assert (checked - off_size, off_size) == (4136, 8813)
 
 
 SMALL_CONNECTED_SHAPES = [
