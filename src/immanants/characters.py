@@ -3,9 +3,9 @@
 A virtual character is represented by its values on cycle types.  Three
 bases of the space of virtual characters are provided: the irreducible
 characters (computed by the Murnaghan-Nakayama recursion), the induced
-trivial characters (Kostka-positive sums of irreducibles), and the
-monomial virtual characters (obtained by inverting the unitriangular
-Kostka matrix, so everything stays in exact integer arithmetic).
+trivial characters (induction products of trivial characters), and the
+monomial virtual characters (the exact inverse Kostka matrix times the
+irreducibles); the last two are built apart, so their duality checks K^-1.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .tableaux import (
     _Frozen,
     check_partition,
     inverse_kostka_matrix,
-    kostka_matrix,
     partition_from_key,
     partition_key,
     partitions_of,
@@ -159,30 +158,25 @@ def character_table(n: int) -> dict[Partition, ClassFunction]:
     return {lam: irreducible_character(lam) for lam in partitions_of(n)}
 
 
-def _irreducible_sum(n: int, coeffs: dict[Partition, int]) -> ClassFunction:
-    """Sum over theta of coeffs[theta] times the irreducible character at theta."""
-    out = zero_character(n)
-    for theta in partitions_of(n):
-        if coeffs[theta]:
-            out = out + coeffs[theta] * irreducible_character(theta)
+@cache
+def induced_trivial_character(lam) -> ClassFunction:
+    """Permutation character on cosets of the Young subgroup of shape lam: the
+    induction product of the trivial characters of its parts (no Kostka number)."""
+    out = trivial_character(0)
+    for part in check_partition(lam):
+        out = induction_product(out, trivial_character(part))
     return out
 
 
 @cache
-def induced_trivial_character(lam) -> ClassFunction:
-    """Permutation character on cosets of the Young subgroup of shape lam."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    km = kostka_matrix(n)
-    return _irreducible_sum(n, {theta: km[theta][lam] for theta in partitions_of(n)})
-
-
-@cache
 def monomial_character(lam) -> ClassFunction:
-    """The virtual character dual to the induced trivial basis."""
+    """The dual of the induced trivial basis: row lam of K^-1 times the irreducibles."""
     lam = check_partition(lam)
-    n = sum(lam)
-    return _irreducible_sum(n, inverse_kostka_matrix(n)[lam])
+    out = zero_character(sum(lam))
+    for theta, c in inverse_kostka_matrix(sum(lam))[lam].items():
+        if c:
+            out = out + c * irreducible_character(theta)
+    return out
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> Fraction:

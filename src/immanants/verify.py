@@ -304,7 +304,8 @@ def suite_kostka(max_n: int = 5, max_size: int = 8) -> CheckReport:
 
 
 def suite_characters(max_n: int = 7, max_size: int = 0) -> CheckReport:
-    """Orthonormality of irreducibles and duality of the eta/phi bases."""
+    """Orthonormality of irreducibles, and the duality of phi (inverse Kostka
+    matrix and Murnaghan-Nakayama table) with eta (induction products)."""
     report = CheckReport("character-duality")
     for n in range(0, max_n + 1):
         parts = partitions_of(n)

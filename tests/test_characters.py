@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -13,19 +15,24 @@ from immanants import (
     character_table,
     class_size,
     h_positive_decomposition,
+    immanant_character,
     induced_trivial_character,
     induction_product,
     inner_product,
     irreducible_character,
+    kostka_matrix,
     monomial_character,
     partitions_of,
     sign_character,
+    skew_shape,
     trivial_character,
     zee,
     zero_character,
 )
+from immanants import tableaux
 from immanants.characters import HPositiveDecomposition, _weighted_monomial_rows
-from immanants.symfunc import convert, frobenius, frobenius_inverse, multiply, sym_func
+from immanants.symfunc import convert, frobenius, frobenius_inverse, homogeneous, multiply, sym_func
+from immanants.verify import suite_characters
 
 S3_CLASSES = [(1, 1, 1), (2, 1), (3,)]
 S4_CLASSES = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
@@ -61,6 +68,16 @@ def eta_oracle(lam, rho):
         return total
 
     return rec(0, list(lam))
+
+
+def kostka_eta_oracle(lam):
+    """Sum over theta of K[theta][lam] times the irreducible character at theta."""
+    n = sum(lam)
+    km = kostka_matrix(n)
+    out = zero_character(n)
+    for theta in partitions_of(n):
+        out = out + km[theta][lam] * irreducible_character(theta)
+    return out
 
 
 # ------------------------------------------------------------ class sizes
@@ -162,11 +179,23 @@ def test_induced_trivial_golden():
 
 
 def test_induced_trivial_against_distribution_oracle():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for lam in partitions_of(n):
             eta = induced_trivial_character(lam)
             for rho in partitions_of(n):
                 assert eta.values[rho] == eta_oracle(lam, rho), (lam, rho)
+
+
+def test_induced_trivial_against_the_kostka_oracle():
+    for n in range(8):
+        for lam in partitions_of(n):
+            assert induced_trivial_character(lam) == kostka_eta_oracle(lam), lam
+
+
+def test_frobenius_of_induced_trivial_is_complete_homogeneous():
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            assert convert(frobenius(induced_trivial_character(lam)), "h") == homogeneous(lam)
 
 
 def test_monomial_golden():
@@ -335,3 +364,45 @@ def test_h_positive_reconstruction_check_raises(monkeypatch):
     )
     with pytest.raises(AssertionError, match="failed to reconstruct"):
         h_positive_decomposition(chi)
+
+
+# ------------------------------------------------------------ planted fault
+
+KOSTKA_CACHES = (
+    tableaux.inverse_kostka_matrix,
+    monomial_character,
+    induced_trivial_character,
+    _weighted_monomial_rows,
+)
+
+
+@pytest.fixture
+def kostka_fault(monkeypatch):
+    """Plant K[(4)][(2,2)] = 2 in the Kostka kernel, under every name a module
+    of the package binds it to.  The matrix stays integer and unitriangular,
+    so only a check that does not read it can catch the fault."""
+    real = tableaux.kostka_matrix
+
+    def faulty(n):
+        km = real(n)
+        if n == 4:
+            km = copy.deepcopy(km)
+            km[(4,)][(2, 2)] = 2
+        return km
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("immanants.") and vars(module).get("kostka_matrix") is real:
+            monkeypatch.setattr(module, "kostka_matrix", faulty)
+    for cached in KOSTKA_CACHES:
+        cached.cache_clear()
+    yield
+    for cached in KOSTKA_CACHES:
+        cached.cache_clear()
+
+
+def test_a_planted_kostka_fault_breaks_the_phi_eta_duality(kostka_fault):
+    report = suite_characters(5)
+    assert report.failures == [{"n": 4, "pair": [[4], [2, 2]], "basis": "phi-eta"}]
+    gamma = immanant_character((4, 2), skew_shape((2, 2, 2, 1), (1,)))
+    with pytest.raises(AssertionError, match="failed to reconstruct"):
+        h_positive_decomposition(gamma)

@@ -355,6 +355,26 @@ def test_degree_12_immanant_stdout_is_byte_identical(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, basis
 
 
+# Digests of the character suite and of `immanant` at an eta and a mono
+# character, recorded before the induced trivial characters were built as
+# induction products of trivial characters instead of from the Kostka matrix.
+CHARACTER_SHA256 = {
+    ("verify", "--suite", "characters", "--max-n", "7"):
+        "68c226265de86d4f6ed89e7ee23fdb6abbcdbbb5dc13b943e465cf95221dc4aa",
+    ("immanant", "--outer", "3,3,2,2,1,1", "--inner", "1", "--char", "eta:3,2,1", "--basis", "s"):
+        "deec365bf98edb5a1cc568696dfb0fb9487f23caf09e91760cb5ab26e6846e9f",
+    ("immanant", "--outer", "3,3,2,2,1,1", "--inner", "1", "--char", "mono:3,2,1", "--basis", "s"):
+        "0e63da605b92467b750d449b356c33cee21e1194520c5c1fb56453aa1acd4da1",
+}
+
+
+@pytest.mark.parametrize("argv", CHARACTER_SHA256, ids=" ".join)
+def test_character_stdout_is_byte_identical(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0, argv
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARACTER_SHA256[argv]
+
+
 def test_immanant_refuses_an_oversized_degree_before_the_walk(capsys):
     # 13 full rows of 4: a walk over 13 rows would take minutes.
     start = time.perf_counter()
