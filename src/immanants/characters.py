@@ -11,7 +11,7 @@ irreducibles); the last two are built apart, so their duality checks K^-1.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, reduce
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -158,20 +158,24 @@ def character_table(n: int) -> dict[Partition, ClassFunction]:
     return {lam: irreducible_character(lam) for lam in partitions_of(n)}
 
 
-@cache
 def induced_trivial_character(lam) -> ClassFunction:
     """Permutation character on cosets of the Young subgroup of shape lam: the
     induction product of the trivial characters of its parts (no Kostka number)."""
-    out = trivial_character(0)
-    for part in check_partition(lam):
-        out = induction_product(out, trivial_character(part))
-    return out
+    return _induced_trivial_character(check_partition(lam))
 
 
 @cache
+def _induced_trivial_character(lam: Partition) -> ClassFunction:
+    return reduce(induction_product, map(trivial_character, lam), trivial_character(0))
+
+
 def monomial_character(lam) -> ClassFunction:
     """The dual of the induced trivial basis: row lam of K^-1 times the irreducibles."""
-    lam = check_partition(lam)
+    return _monomial_character(check_partition(lam))
+
+
+@cache
+def _monomial_character(lam: Partition) -> ClassFunction:
     out = zero_character(sum(lam))
     for theta, c in inverse_kostka_matrix(sum(lam))[lam].items():
         if c:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 # Each command imports the layers it runs when it runs, so a `python -m
@@ -289,14 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
     except SystemExit as exc:  # argparse's exit status for --help and usage errors
         return exc.code
     except (ValueError, ArithmeticError) as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader left (`| head`): stop quietly, the exit flush too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -35,7 +35,6 @@ from .tableaux import (
     _ssyt_count,
     check_partition,
     hook_leg,
-    is_hook,
     partitions_of,
 )
 
@@ -65,12 +64,18 @@ def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassF
     """Class function of the shape at each theta (default: every partition of its size).
 
     zee(rho) * sum of N[rho][alpha] * K(theta, alpha), with N from one
-    `cycle_cover_counts` call shared by every theta: the content of w is the
-    subscript multiset along w^-1.  Each alpha is a partition of the shape's
-    size, so K comes straight from the Pieri kernel.  When every theta is a
-    hook (N-k, 1^k) and the shape has a box, K = C(l(alpha) - 1, k) needs
-    only the number of positive subscripts, so the count runs on the grid
-    clipped to -1, 0 and 1 (`_hook_grid`), where alpha is (1,) * l.
+    `cycle_cover_counts` call shared by every theta (the content of w is the
+    subscript multiset along w^-1) on the grid clipped at c, the largest
+    theta_2 asked for; the boxes clipped off alpha go back on its first part.
+    K is kept by the lemma: if alpha_i > theta_2, then K(theta, alpha) =
+    K(theta - e_1, alpha - e_i).  In an SSYT of shape theta the i's outside
+    row 1 lie in distinct columns left of row 1's i-block, which starts at
+    column a, so at most a - 1 lie outside and the block ends at b >= alpha_i
+    > theta_2.  No cell lies below row 1 past column theta_2, so deleting the
+    i at b and shifting the rest of row 1 left is a bijection onto
+    SSYT(theta - e_1, alpha - e_i); its inverse inserts an i after the block.
+    So both contents count K((|a| - |bar|, bar), a) for a = min(alpha, c) and
+    bar = (theta_2, ...), 0 when that first part is below theta_2.
     """
     if thetas is None:
         thetas = partitions_of(shape.size)
@@ -78,35 +83,24 @@ def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassF
         thetas = [check_partition(theta) for theta in thetas]
         for theta in thetas:
             check_theta_size(theta, shape)
-    sub = jt_matrix(shape).sub
-    hooks = shape.size > 0 and all(map(is_hook, thetas))
-    counts = cycle_cover_counts(_hook_grid(sub) if hooks else sub)
-    classes = [(rho, zee(rho), counts.get(rho, {}).items()) for rho in partitions_of(shape.rows)]
+    c = max((theta[1] for theta in thetas if len(theta) > 1), default=0)
+    counts = cycle_cover_counts(_clip(jt_matrix(shape).sub, c))
+    n = shape.size
+    classes = []
+    for rho in partitions_of(shape.rows):
+        whole = [((n - sum(a[1:]), *a[1:]) if n else a, m) for a, m in counts.get(rho, {}).items()]
+        classes.append((rho, zee(rho), whole))
     out = {}
     for theta in thetas:
-        if hooks:  # by_length[l] = C(l - 1, leg) for the l <= n positive subscripts
-            by_length = [0] + [math.comb(l, len(theta) - 1) for l in range(shape.rows)]
-            values = {
-                rho: z * sum(c * by_length[len(alpha)] for alpha, c in by_alpha)
-                for rho, z, by_alpha in classes
-            }
-        else:
-            values = {
-                rho: z * sum(c * _ssyt_count(theta, (), alpha) for alpha, c in by_alpha)
-                for rho, z, by_alpha in classes
-            }
+        values = {r: z * sum(m * _ssyt_count(theta, (), a) for a, m in ms) for r, z, ms in classes}
         out[theta] = ClassFunction(shape.rows, values)
     return out
 
 
-def _hook_grid(sub) -> tuple[tuple[int, ...], ...]:
-    """The subscript grid clipped to -1 (no edge), 0 and 1: all that a hook's count reads.
-
-    With every negative subscript one value, rows that differ only in
-    missing edges share a fragment start in `cycle_cover_counts`, and
-    shapes whose grids clip to the same one share one hook check in `verify`.
-    """
-    return tuple(tuple([-1 if x < 0 else 1 if x else 0 for x in row]) for row in sub)
+def _clip(sub, c: int) -> tuple[tuple[int, ...], ...]:
+    """The grid with each negative subscript -1 (no edge) and the rest capped at c: fewer
+    start names in `cycle_cover_counts`, and shapes share a grid (one check in `verify`)."""
+    return tuple(tuple([-1 if x < 0 else x if x < c else c for x in row]) for row in sub)
 
 
 def immanant_character(theta, shape: SkewShape) -> ClassFunction:

@@ -25,7 +25,7 @@ from .characters import (
 )
 from .immanant_characters import (
     _checked_coefficient,
-    _hook_grid,
+    _clip,
     hook_decompositions,
     immanant_character,
     immanant_characters,
@@ -90,7 +90,7 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
     total binom(n - 1, leg) and each matches its closed form, and the
     theorem holds as a class-function identity.  Its two sides come from
     different grids: gamma_theta from one `immanant_characters` call on the
-    Jacobi-Trudi grid clipped to -1, 0 and 1, and sum mult * SS(h) from
+    Jacobi-Trudi grid clipped at theta_2 <= 1, and sum mult * SS(h) from
     each summand's own 0/-1 pattern.
 
     The identity needs no check permutation by permutation.  Subscript
@@ -110,7 +110,7 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
 def _once_per_grid(name: str, pairs, failures_of) -> CheckReport:
     """Check each (shape, thetas) pair by failures_of, once per distinct clipped grid and thetas.
 
-    The Jacobi-Trudi grid clipped to -1, 0 and 1 fixes gamma_theta at every
+    The Jacobi-Trudi grid clipped at 1 (`_clip`) fixes gamma_theta at every
     hook theta, and h and h' too: h(j) is the last row whose clipped entry
     is at least 0, h'(j) the last whose entry is 1.  So shapes with equal
     keys have equal checks up to the "shape" in their failures.  Every
@@ -122,12 +122,11 @@ def _once_per_grid(name: str, pairs, failures_of) -> CheckReport:
     for shape, thetas in pairs:
         if not thetas:
             continue
-        key = (_hook_grid(jt_matrix(shape).sub), tuple(thetas))
+        key = (_clip(jt_matrix(shape).sub, 1), tuple(thetas))
         if key not in checked:
             checked[key] = failures_of(shape, thetas)
         report.instances += len(thetas)
-        shape_json = shape.to_json()
-        report.failures += [{**failure, "shape": shape_json} for failure in checked[key]]
+        report.failures += [{**failure, "shape": shape.to_json()} for failure in checked[key]]
     return report
 
 
@@ -218,20 +217,16 @@ def verify_empty_row_removal(shape: SkewShape) -> CheckReport:
     """Dropping empty rows leaves the immanant character unchanged."""
     reduced = remove_empty_rows(shape)
     padded = skew_shape(reduced.outer, reduced.inner, shape.rows)
-    by_padded = immanant_characters(padded)
-    gammas = immanant_characters(shape)
-    return _agree("empty-row-removal", {"shape": shape.to_json()}, gammas, by_padded.__getitem__)
+    return _agree("empty-row-removal", {"shape": shape.to_json()}, immanant_characters(shape),
+                  immanant_characters(padded).__getitem__)
 
 
 def verify_component_reorder(a: SkewShape, b: SkewShape) -> CheckReport:
     """Shapes with identical components have identical immanant characters."""
     if a.rows != b.rows or a.size != b.size:
         raise ValueError("shapes must share the same row count and size")
-    by_b = immanant_characters(b)
-    gammas = immanant_characters(a)
-    return _agree(
-        "component-reorder", {"shapes": [a.to_json(), b.to_json()]}, gammas, by_b.__getitem__
-    )
+    return _agree("component-reorder", {"shapes": [a.to_json(), b.to_json()]},
+                  immanant_characters(a), immanant_characters(b).__getitem__)
 
 
 def verify_disconnected_product(shape: SkewShape) -> CheckReport:

@@ -5,8 +5,13 @@ Run with `pytest -s tests/test_acceptance.py` to see the PASS/FAIL lines;
 exact; the timed criteria assert their stated wall-clock bounds.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from immanants import (
     collected_coefficient,
@@ -201,3 +206,25 @@ def test_criterion_12_positivity_families():
     sweep = suite_positivity(max_n=5, max_size=8)
     report(12, "hook-positivity-families", sweep.ok, f"{sweep.instances} instances")
     assert sweep.ok, sweep.failures[:3]
+
+
+def test_criterion_13_gamma_at_theta2_2_on_twelve_rows():
+    # (140, 2, 2) on (12^12): the grid clipped at theta_2 = 2 merges the
+    # contents, so the CLI answers in well under a second.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "immanants.cli", "gamma", "--theta", "140,2,2",
+         "--outer", ",".join(["12"] * 12)],
+        capture_output=True, env=env, cwd=root,
+    )
+    elapsed = time.monotonic() - start
+    digest = hashlib.sha256(done.stdout).hexdigest()
+    want = "45a2e45abbc4dc568c9d295f3dddac0e9ba130c601fca86c2ca01a679e9d648f"
+    ok = done.returncode == 0 and digest == want and elapsed < 1
+    report(13, "gamma-theta2-2-on-12-rows", ok, f"{elapsed:.2f}s")
+    assert done.returncode == 0, done.stderr
+    assert digest == want
+    assert elapsed < 1

@@ -30,7 +30,12 @@ from immanants import (
     zero_character,
 )
 from immanants import tableaux
-from immanants.characters import HPositiveDecomposition, _weighted_monomial_rows
+from immanants.characters import (
+    HPositiveDecomposition,
+    _induced_trivial_character,
+    _monomial_character,
+    _weighted_monomial_rows,
+)
 from immanants.symfunc import convert, frobenius, frobenius_inverse, homogeneous, multiply, sym_func
 from immanants.verify import suite_characters
 
@@ -204,6 +209,25 @@ def test_monomial_golden():
     assert monomial_character((1,)) == trivial_character(1)
 
 
+@pytest.mark.parametrize(
+    "build, body",
+    [
+        (induced_trivial_character, _induced_trivial_character),
+        (monomial_character, _monomial_character),
+    ],
+    ids=["eta", "phi"],
+)
+def test_characters_take_any_spelling_of_a_partition_once(build, body):
+    # A list or trailing zeros is the same partition: one cache entry, one object.
+    want = build((3, 2, 1))
+    misses = body.cache_info().misses
+    assert build([3, 2, 1]) is want and build((3, 2, 1, 0)) is want
+    assert body.cache_info().misses == misses
+    assert irreducible_character([3, 2, 1]) == irreducible_character((3, 2, 1, 0))
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        build([1, 2])
+
+
 def test_phi_eta_duality():
     for n in range(1, 6):
         for a in partitions_of(n):
@@ -370,8 +394,8 @@ def test_h_positive_reconstruction_check_raises(monkeypatch):
 
 KOSTKA_CACHES = (
     tableaux.inverse_kostka_matrix,
-    monomial_character,
-    induced_trivial_character,
+    _monomial_character,
+    _induced_trivial_character,
     _weighted_monomial_rows,
 )
 

@@ -228,6 +228,24 @@ def test_decompose_prints_an_oversized_leg_as_empty_and_quietly():
     )
 
 
+def test_a_closed_pipe_ends_scan_quietly():
+    # `scan ... | head -1`: the 470 kB of records overflow the pipe, so a
+    # write meets the closed reader; that ends the run with no traceback.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "immanants.cli", "scan", "--max-n", "4", "--max-size", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=root,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert first.startswith(b'{"shape":{"outer":[1],') and err == b""
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and "immanants" in out

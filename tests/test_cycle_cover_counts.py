@@ -41,7 +41,7 @@ from immanants import (
     symmetric_group,
     zee,
 )
-from immanants.immanant_characters import _hook_grid
+from immanants.immanant_characters import _clip
 from immanants.jacobitrudi import _multiset, cycle_cover_counts
 
 CONNECTED = [
@@ -51,6 +51,12 @@ CONNECTED = [
     for shape in connected_skew_shapes(n, size)
 ]
 PADDED = [skew_shape(s.outer, s.inner, s.rows + 1) for s in CONNECTED]
+CONNECTED_9 = [
+    shape
+    for n in range(1, 6)
+    for size in range(n, 10)
+    for shape in connected_skew_shapes(n, size)
+]
 # The disconnected and empty-row goldens of verify.suite_reductions.
 DISCONNECTED = [
     skew_shape((5, 4, 2, 2, 1), (3, 2, 2)),
@@ -94,9 +100,9 @@ def cycle_cover_walk(sub):
     return counts
 
 
-def clipped(sub):
-    """The grid clipped at 1, negative subscripts kept as they are."""
-    return [[min(x, 1) for x in row] for row in sub]
+def clipped(sub, c):
+    """The grid clipped at c, negative subscripts kept as they are."""
+    return [[min(x, c) for x in row] for row in sub]
 
 
 def subset_dp_counts(sub):
@@ -195,27 +201,101 @@ def test_immanant_characters_match_class_sums(family):
         assert got == oracle_immanant_character(shape), shape
 
 
+def raw_grid_immanant_characters(shape, thetas=None):
+    """zee(rho) * sum of N[rho][alpha] * K(theta, alpha) over the raw grid's contents.
+
+    The per-content kernel that `immanant_characters` ran before it
+    clipped the grid at theta_2: every alpha is a partition of the size.
+    """
+    counts = cycle_cover_counts(jt_matrix(shape).sub)
+    out = {}
+    for theta in partitions_of(shape.size) if thetas is None else thetas:
+        values = {}
+        for rho in partitions_of(shape.rows):
+            by_alpha = counts.get(rho, {}).items()
+            values[rho] = zee(rho) * sum(n * kostka(theta, alpha) for alpha, n in by_alpha)
+        out[theta] = ClassFunction(shape.rows, values)
+    return out
+
+
+def by_theta2(thetas):
+    """The thetas grouped by theta_2, so each group clips at its own theta_2."""
+    groups = {}
+    for theta in thetas:
+        groups.setdefault(theta[1:2], []).append(theta)
+    return groups.values()
+
+
+@pytest.fixture(scope="module")
+def raw_grid_gammas():
+    return {shape: raw_grid_immanant_characters(shape) for shape in CONNECTED_9}
+
+
+def test_clipped_kernel_matches_the_raw_grid(raw_grid_gammas):
+    # All thetas at once clip at the largest theta_2, each group at its own.
+    for shape, want in raw_grid_gammas.items():
+        assert immanant_characters(shape) == want, shape
+        for group in by_theta2(want):
+            assert immanant_characters(shape, group) == {t: want[t] for t in group}, shape
+
+
+def test_a_clip_one_below_theta2_fails(monkeypatch, raw_grid_gammas):
+    module = importlib.import_module("immanants.immanant_characters")
+    real_clip = module._clip
+    monkeypatch.setattr(module, "_clip", lambda sub, c: real_clip(sub, c - 1))
+    broken = [shape for shape, want in raw_grid_gammas.items() if immanant_characters(shape) != want]
+    assert (len(broken), len(raw_grid_gammas)) == (446, 811)
+    # Clipped at its own theta_2 - 1, some group of every shape goes wrong.
+    for shape, want in raw_grid_gammas.items():
+        assert any(
+            immanant_characters(shape, group) != {t: want[t] for t in group}
+            for group in by_theta2(want)
+        ), shape
+
+
+@st.composite
+def seven_row_shapes_and_thetas(draw):
+    """A skew shape with 7 rows (some maybe empty) and up to 3 thetas of its size."""
+    outer = sorted(draw(st.lists(st.integers(0, 4), min_size=7, max_size=7)), reverse=True)
+    inner = []
+    for part in outer:
+        inner.append(draw(st.integers(0, min([part] + inner[-1:]))))
+    shape = skew_shape(outer, inner, 7)
+    thetas = draw(st.lists(st.sampled_from(partitions_of(shape.size)), min_size=1, max_size=3))
+    return shape, list(dict.fromkeys(thetas))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seven_row_shapes_and_thetas())
+def test_clipped_kernel_matches_the_raw_grid_at_7_rows(case):
+    shape, thetas = case
+    want = raw_grid_immanant_characters(shape, thetas)
+    assert immanant_characters(shape, thetas) == want
+    for group in by_theta2(thetas):
+        assert immanant_characters(shape, group) == {t: want[t] for t in group}
+
+
 @pytest.mark.parametrize("family", ["connected", "padded", "disconnected"])
 def test_cycle_cover_counts_match_the_walk(family):
     for shape in FAMILIES[family]:
         sub = jt_matrix(shape).sub
         assert cycle_cover_counts(sub) == cycle_cover_walk(sub), shape
-        assert cycle_cover_counts(clipped(sub)) == cycle_cover_walk(clipped(sub)), shape
+        assert cycle_cover_counts(clipped(sub, 1)) == cycle_cover_walk(clipped(sub, 1)), shape
     assert cycle_cover_counts(()) == cycle_cover_walk(()) == {(): {(): 1}}
 
 
-def test_hook_grid_counts_as_the_grid_clipped_at_1():
-    # `_hook_grid` also sends every negative subscript to -1, which only
+@pytest.mark.parametrize("c", range(4))
+def test_clip_counts_as_the_grid_clipped_at_c(c):
+    # `_clip` also sends every negative subscript to -1, which only
     # merges names of fragment starts, and lets shapes share a grid.
     grids = set()
-    for n in range(1, 6):
-        for size in range(n, 10):
-            for shape in connected_skew_shapes(n, size):
-                sub = jt_matrix(shape).sub
-                grid = _hook_grid(sub)
-                assert cycle_cover_counts(grid) == cycle_cover_counts(clipped(sub)), shape
-                grids.add(grid)
-    assert len(grids) == 37
+    for shape in CONNECTED_9:
+        sub = jt_matrix(shape).sub
+        grid = _clip(sub, c)
+        assert cycle_cover_counts(grid) == cycle_cover_counts(clipped(sub, c)), shape
+        grids.add(grid)
+    if c == 1:
+        assert len(grids) == 37
 
 
 @st.composite
@@ -236,8 +316,8 @@ def test_cycle_cover_counts_match_the_walk_on_any_support(sub):
 @pytest.mark.parametrize(
     "sub",
     [
-        clipped(jt_matrix(skew_shape((12,) * 12)).sub),
-        clipped(jt_matrix(skew_shape((3,) * 14, (1,))).sub),
+        clipped(jt_matrix(skew_shape((12,) * 12)).sub, 1),
+        clipped(jt_matrix(skew_shape((3,) * 14, (1,))).sub, 1),
         jt_matrix(skew_shape((4,) * 10)).sub,
     ],
     ids=["clipped 12^12", "clipped 3^14/1", "raw 4^10"],

@@ -529,6 +529,62 @@ def test_kostka_hook_agrees_with_kostka():
                     assert kostka_hook(theta, content) == kostka(theta, content)
 
 
+# ------------------------------------------------------- first-row lemma
+
+def first_row_reduced(theta, content, c):
+    """K((|a| - |bar|, bar), a) with a = min(content, c) entrywise and
+    bar = theta[1:]; 0 when that first part would drop below theta_2."""
+    bar = theta[1:]
+    clipped = [min(x, c) for x in content]
+    first = sum(clipped) - sum(bar)
+    if first < (bar[0] if bar else 0):
+        return 0
+    return kostka((first, *bar), clipped)
+
+
+def first_part_restored(content, c):
+    """min(content, c) entrywise, sorted, with the boxes clipped off put back
+    on its first part: the content `immanant_characters` reads."""
+    clipped = sorted((min(x, c) for x in content), reverse=True)
+    return [sum(content) - sum(clipped[1:]), *clipped[1:]]
+
+
+def test_first_row_lemma_exhaustively():
+    # K(theta, alpha) is K(theta - e_1, alpha - e_i) whenever alpha_i > theta_2,
+    # so clipping the content at any c >= theta_2 only shortens row 1, and
+    # putting the clipped boxes back on the first part lengthens it again.
+    dropped = 0
+    for total in range(13):
+        matrix = kostka_matrix(total)
+        for theta in partitions_of(total):
+            least = theta[1] if len(theta) > 1 else 0
+            for alpha in partitions_of(total):
+                want = matrix[theta].get(alpha, 0)
+                for c in range(least, max(least, alpha[0] if alpha else 0) + 1):
+                    assert first_row_reduced(theta, alpha, c) == want, (theta, alpha, c)
+                    assert kostka(theta, first_part_restored(alpha, c)) == want, (theta, alpha, c)
+                    dropped += sum(min(x, c) for x in alpha) - sum(theta[1:]) < least
+    assert dropped > 0  # the cases that count 0 are reached
+
+
+@st.composite
+def thetas_contents_and_clips(draw):
+    """Two partitions of one size up to 20 and a clip c >= theta_2."""
+    total = draw(st.integers(0, 20))
+    theta, alpha = (draw(st.sampled_from(partitions_of(total))) for _ in range(2))
+    least = theta[1] if len(theta) > 1 else 0
+    return theta, draw(st.permutations(alpha)), draw(st.integers(least, least + 6))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(thetas_contents_and_clips())
+def test_first_row_lemma_property(case):
+    theta, content, c = case
+    want = kostka(theta, content)
+    assert first_row_reduced(theta, content, c) == want
+    assert kostka(theta, first_part_restored(content, c)) == want
+
+
 # ------------------------------------------------------------ skew kostka
 
 def test_skew_kostka_empty_inner_is_kostka():

@@ -33,7 +33,7 @@ from immanants import (
     stanley_stembridge_character,
     zee,
 )
-from immanants.immanant_characters import _hook_grid
+from immanants.immanant_characters import _clip
 from immanants.permutations import conjugacy_classes
 from immanants.tableaux import _normalize_content
 from immanants.verify import (
@@ -389,12 +389,12 @@ def test_grouped_suites_match_the_per_shape_loops(suite, oracle):
 
 @pytest.mark.parametrize("suite, oracle", GROUPED_SUITES, ids=lambda f: f.__name__)
 def test_a_broken_grid_fails_every_shape_that_has_it(monkeypatch, suite, oracle):
-    broken = _hook_grid(jt_matrix(skew_shape((3, 3, 1), (1,))).sub)
+    broken = _clip(jt_matrix(skew_shape((3, 3, 1), (1,))).sub, 1)
     real_immanant_characters = immanants.verify.immanant_characters
 
     def off_by_one_on_the_broken_grid(shape, thetas):
         gammas = real_immanant_characters(shape, thetas)
-        if _hook_grid(jt_matrix(shape).sub) != broken:
+        if _clip(jt_matrix(shape).sub, 1) != broken:
             return gammas
         identity = (1,) * shape.rows
         return {
@@ -408,7 +408,7 @@ def test_a_broken_grid_fails_every_shape_that_has_it(monkeypatch, suite, oracle)
     shapes = [
         shape
         for shape in _bounded_connected_shapes(5, 9)
-        if _hook_grid(jt_matrix(shape).sub) == broken
+        if _clip(jt_matrix(shape).sub, 1) == broken
     ]
     assert len(shapes) == 46  # of 3 to 9 boxes, so five hook lists
     # One failure per hook of each such shape, under its own "shape".
@@ -457,15 +457,17 @@ def test_kostka_suite_counts_each_distinct_class_once(monkeypatch):
 
 def test_hook_suite_counts_covers_once_per_distinct_key(monkeypatch):
     module = sys.modules["immanants.immanant_characters"]  # the package binds the function
-    real_cycle_cover_counts = module.cycle_cover_counts
+    real_clip = module._clip
     grids = []
 
-    def counted(sub):
-        if any(x > 0 for row in sub for x in row):  # not a summand's 0/-1 pattern
-            grids.append(sub)
-        return real_cycle_cover_counts(sub)
+    def counted(sub, c):
+        # Only immanant_characters clips in this module: a summand's 0/-1
+        # pattern reaches cycle_cover_counts unclipped, and verify keys by
+        # its own binding of _clip.
+        grids.append(real_clip(sub, c))
+        return grids[-1]
 
-    monkeypatch.setattr(module, "cycle_cover_counts", counted)
+    monkeypatch.setattr(module, "_clip", counted)
     assert suite_hook(5, 9).instances == 3109
     # 811 shapes, 113 distinct (grid, h, h', hooks), 37 distinct grids.
     assert len(grids) == 113 and len(set(grids)) == 37
