@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 from .tableaux import (
     Partition,
-    _as_ints,
     _Frozen,
     check_partition,
     inverse_kostka_matrix,
@@ -77,7 +76,10 @@ class ClassFunction(_Frozen):
         raise ValueError("; ".join(problems))
 
     def __call__(self, rho) -> int:
-        return self.values[check_partition(rho)]
+        rho = check_partition(rho)
+        if sum(rho) != self.n:
+            raise ValueError(f"{list(rho)} is not a cycle type of S_{self.n}")
+        return self.values[rho]
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if self.n != other.n:
@@ -99,9 +101,11 @@ class ClassFunction(_Frozen):
 
     @staticmethod
     def from_json(obj: dict) -> "ClassFunction":
-        keys = map(partition_from_key, obj["values"])
-        values = dict(zip(keys, _as_ints(obj["values"].values())))
-        return ClassFunction(_as_ints((obj["n"],))[0], values)
+        n, values = obj["n"], obj["values"]
+        for v in (n, *values.values()):  # a float or bool would enter exact arithmetic rounded
+            if type(v) is not int:
+                raise ValueError(f"not an integer: {v!r}")
+        return ClassFunction(n, dict(zip(map(partition_from_key, values), values.values())))
 
 
 def zero_character(n: int) -> ClassFunction:

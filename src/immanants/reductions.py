@@ -13,9 +13,9 @@ from .characters import ClassFunction, induction_product, trivial_character, zer
 from .immanant_characters import check_theta_size, immanant_characters
 from .tableaux import (
     SkewShape,
+    _lr_row,
     check_partition,
     contains,
-    lr_coefficient,
     partitions_of,
     skew_shape,
 )
@@ -106,9 +106,9 @@ def _product_over_components(theta, comps: list[SkewShape]) -> ClassFunction:
 
     Bottom up, fold each component's characters (lam) into the products of
     the components after it (tau): the product at sigma sums, over lam
-    inside sigma and every tau, c^sigma_{lam tau} times the induction product
-    of the two.  Inner splits fill every sigma of their size; the top split
-    only theta.
+    inside sigma and every tau in the LR row of sigma/lam (one walk),
+    c^sigma_{lam tau} times the induction product of the two.  Inner splits
+    fill every sigma of their size; the top split only theta.
     """
     products = immanant_characters(comps[-1])
     size, n = comps[-1].size, comps[-1].rows
@@ -121,8 +121,7 @@ def _product_over_components(theta, comps: list[SkewShape]) -> ClassFunction:
             out = zero_character(n)
             for lam, left in lefts.items():
                 if contains(lam, sigma):
-                    for tau, right in rights.items():
-                        if c := lr_coefficient(sigma, lam, tau):
-                            out = out + c * induction_product(left, right)
+                    for tau, c in _lr_row(sigma, lam).items():
+                        out = out + c * induction_product(left, rights[tau])
             products[sigma] = out
     return products[theta]

@@ -18,10 +18,10 @@ from .tableaux import (
     SkewShape,
     _as_ints,
     _Frozen,
+    _lr_row,
     check_partition,
     inverse_kostka_matrix,
     kostka_matrix,
-    lr_coefficient,
     partition_from_key,
     partition_key,
     partitions_of,
@@ -208,13 +208,8 @@ def homogeneous(lam) -> SymFunc:
 
 
 def skew_schur(shape: SkewShape) -> SymFunc:
-    """Schur expansion of the skew Schur function via LR coefficients."""
-    out = {}
-    for sigma in partitions_of(shape.size):
-        c = lr_coefficient(shape.outer, shape.inner, sigma)
-        if c:
-            out[sigma] = c
-    return sym_func("s", shape.size, out)
+    """Schur expansion of the skew Schur function: every LR coefficient from one walk."""
+    return sym_func("s", shape.size, _lr_row(shape.outer, shape.inner))
 
 
 def frobenius(chi: ClassFunction) -> SymFunc:

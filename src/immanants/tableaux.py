@@ -5,7 +5,7 @@ empty tuple is the partition of 0.  All counting here is exact integer
 arithmetic: Kostka numbers, skew Kostka numbers and the columns of the
 Kostka matrix count chains of horizontal strips (the Pieri rule, one
 prefix-sharing walk for all three), and Littlewood-Richardson
-coefficients count lattice fillings.
+coefficients count lattice fillings (one walk per skew shape, every content).
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ def hook_partition(total: int, leg: int) -> Partition:
 
 
 def hooks_of(n: int) -> tuple[Partition, ...]:
-    if n == 0:
-        return ((),)
-    return tuple(hook_partition(n, k) for k in range(n))
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return tuple(hook_partition(n, k) for k in range(max(n, 1)))  # n = 0: the empty hook
 
 
 class _Record:
@@ -359,43 +359,44 @@ def skew_kostka(shape: SkewShape, content: Iterable[int]) -> int:
     return _ssyt_count(shape.outer, shape.inner, c)
 
 
+def _lr_row(theta: Partition, lam: Partition) -> dict[Partition, int]:
+    """Every LR coefficient of theta/lam (lam inside theta), keyed by content, from one walk.
+
+    Fills theta/lam in reverse reading order (rows top to bottom, right to left)
+    with rows weakly and columns strictly increasing and a lattice reading word,
+    so row r holds at most r; each filling counts under its content.
+    """
+    nu = lam + (0,) * (len(theta) - len(lam))
+    cells = [(r, c) for r in range(len(theta)) for c in range(theta[r] - 1, nu[r] - 1, -1)]
+    counts = [len(cells)] + [0] * len(theta)  # counts[v]: v's read so far; [0] bounds the 1's
+    grid = [[0] * (theta[0] + 1) for _ in theta]  # 0 off the skew; stale cells refilled before read
+    row: dict[Partition, int] = {}
+
+    def fill(idx: int) -> None:
+        if idx == len(cells):
+            sigma = tuple(filter(None, counts[1:]))
+            row[sigma] = row.get(sigma, 0) + 1
+            return
+        r, c = cells[idx]
+        right = grid[r][c + 1] or r + 1
+        above = grid[r - 1][c] if r else 0
+        for v in range(above + 1, right + 1):
+            if counts[v] < counts[v - 1]:  # the reading word stays a lattice word
+                counts[v] += 1
+                grid[r][c] = v
+                fill(idx + 1)
+                counts[v] -= 1
+
+    fill(0)
+    return row
+
+
 def lr_coefficient(theta: Iterable[int], lam: Iterable[int], sigma: Iterable[int]) -> int:
     """Littlewood-Richardson coefficient: lattice fillings of theta/lam with content sigma."""
     t, l, s = check_partition(theta), check_partition(lam), check_partition(sigma)
     if not contains(l, t) or sum(l) + sum(s) != sum(t):
         return 0
-    if sum(t) - sum(l) == 0:
-        return 1
-    # Cells in reverse reading order: rows top to bottom, right to left.
-    nu = l + (0,) * (len(t) - len(l))
-    cells = [(r, c) for r in range(len(t)) for c in range(t[r] - 1, nu[r] - 1, -1)]
-    m = len(s)
-    remaining = list(s)
-    counts = [0] * (m + 1)  # counts[v] = copies of v read so far; counts[0] is a sentinel
-    grid = [[0] * (t[0] if t else 0) for _ in range(len(t))]
-
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        right = grid[r][c + 1] if c + 1 < t[r] else 0
-        above = grid[r - 1][c] if r > 0 and nu[r - 1] <= c < t[r - 1] else 0
-        total = 0
-        for v in range(above + 1, m + 1):
-            if remaining[v - 1] == 0 or (right and v > right):
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # reverse reading word must stay a lattice word
-            remaining[v - 1] -= 1
-            counts[v] += 1
-            grid[r][c] = v
-            total += fill(idx + 1)
-            grid[r][c] = 0
-            counts[v] -= 1
-            remaining[v - 1] += 1
-        return total
-
-    return fill(0)
+    return _lr_row(t, l).get(s, 0)
 
 
 @cache

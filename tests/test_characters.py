@@ -136,10 +136,22 @@ def test_class_function_arithmetic_and_json():
     {"n": 1, "values": {"[1]": 1.5}},
     {"n": 2.7, "values": {"[2]": 1, "[1,1]": 1}},
     {"n": 1, "values": {"[1]": "7"}},
+    {"n": 1, "values": {"[1]": 1.0}},
+    {"n": 1, "values": {"[1]": 1e23}},
+    {"n": 1, "values": {"[1]": True}},
+    {"n": 1.0, "values": {"[1]": 1}},
+    {"n": True, "values": {"[1]": 1}},
 ])
 def test_class_function_from_json_refuses_non_integers(blob):
     with pytest.raises(ValueError, match="not an integer"):
         ClassFunction.from_json(blob)
+
+
+def test_class_function_refuses_a_cycle_type_of_another_size():
+    chi = trivial_character(2)
+    assert chi((1, 1)) == 1
+    with pytest.raises(ValueError, match=r"\[3\] is not a cycle type of S_2"):
+        chi((3,))
 
 
 # ----------------------------------------------------------- irreducibles

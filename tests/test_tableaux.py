@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import immanants.reductions as reductions
+import immanants.symfunc as symfunc
 import immanants.tableaux as tableaux
 from immanants import (
     SkewShape,
@@ -16,6 +18,8 @@ from immanants import (
     hook_partition,
     hooks_of,
     immanant_character,
+    immanant_character_from_components,
+    immanant_characters,
     is_hook,
     kostka,
     kostka_hook,
@@ -23,10 +27,12 @@ from immanants import (
     lr_coefficient,
     partitions_of,
     skew_kostka,
+    skew_schur,
     skew_shape,
 )
 from immanants.symfunc import MAX_DEGREE
 from immanants.tableaux import (
+    _lr_row,
     _normalize_content,
     _pieri_layers,
     _ssyt_count,
@@ -150,6 +156,47 @@ def strips_by_definition(outer, mu, size):
     ]
 
 
+def lr_by_content(theta, lam, sigma):
+    """One LR coefficient by a search constrained to content sigma.
+
+    Fills theta/lam in reverse reading order with at most sigma_v copies of
+    v, keeping rows weakly increasing, columns strictly increasing and the
+    reading word a lattice word.  Shares no code with the library's walks.
+    """
+    t, l, s = tuple(theta), tuple(lam), tuple(sigma)
+    if not contains(l, t) or sum(l) + sum(s) != sum(t):
+        return 0
+    nu = l + (0,) * (len(t) - len(l))
+    cells = [(r, c) for r in range(len(t)) for c in range(t[r] - 1, nu[r] - 1, -1)]
+    m = len(s)
+    remaining = list(s)
+    counts = [0] * (m + 1)
+    grid = [[0] * (t[0] if t else 0) for _ in range(len(t))]
+
+    def fill(idx):
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        right = grid[r][c + 1] if c + 1 < t[r] else 0
+        above = grid[r - 1][c] if r > 0 and nu[r - 1] <= c < t[r - 1] else 0
+        total = 0
+        for v in range(above + 1, m + 1):
+            if remaining[v - 1] == 0 or (right and v > right):
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue
+            remaining[v - 1] -= 1
+            counts[v] += 1
+            grid[r][c] = v
+            total += fill(idx + 1)
+            grid[r][c] = 0
+            counts[v] -= 1
+            remaining[v - 1] += 1
+        return total
+
+    return fill(0)
+
+
 def entrywise_kostka_matrix(n):
     """K[theta][lam] with one Pieri chain count per entry, in canonical order."""
     parts = partitions_of(n)
@@ -254,7 +301,10 @@ def test_hooks():
     assert is_hook(()) and is_hook((4,)) and is_hook((3, 1, 1))
     assert not is_hook((3, 2))
     assert hook_partition(8, 2) == (6, 1, 1)
-    assert hooks_of(3) == ((3,), (2, 1), (1, 1, 1))
+    assert hooks_of(3) == ((3,), (2, 1), (1, 1, 1)) and hooks_of(0) == ((),)
+    for enumerate_of in (hooks_of, partitions_of):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            enumerate_of(-1)
 
 
 def test_is_hook_agrees_with_the_loop_it_replaced():
@@ -677,6 +727,88 @@ def test_lr_positive_implies_containment():
                 for sigma in partitions_of(6 - m):
                     if lr_coefficient(theta, lam, sigma) > 0:
                         assert contains(lam, theta)
+
+
+def test_lr_row_matches_the_content_search_exhaustively():
+    # Every theta of size <= 10, every lam inside it and every sigma of the
+    # difference: one walk per (theta, lam) gives each sigma's coefficient.
+    checked = 0
+    for n in range(11):
+        for theta in partitions_of(n):
+            for m in range(n + 1):
+                for lam in partitions_of(m):
+                    if not contains(lam, theta):
+                        continue
+                    row = _lr_row(theta, lam)
+                    assert all(sum(sigma) == n - m and sigma == check_partition(sigma)
+                               for sigma in row), (theta, lam)
+                    assert all(c > 0 for c in row.values()), (theta, lam)
+                    for sigma in partitions_of(n - m):
+                        expected = lr_by_content(theta, lam, sigma)
+                        assert row.get(sigma, 0) == expected, (theta, lam, sigma)
+                        assert lr_coefficient(theta, lam, sigma) == expected, (theta, lam, sigma)
+                        checked += 1
+    assert checked == 20890
+
+
+@st.composite
+def skew_pairs(draw):
+    """A partition theta of size up to 14 and a partition lam inside it."""
+    theta = draw(st.sampled_from(partitions_of(draw(st.integers(0, 14)))))
+    inside = [lam for m in range(sum(theta) + 1) for lam in partitions_of(m) if contains(lam, theta)]
+    return theta, draw(st.sampled_from(inside))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(skew_pairs())
+def test_lr_row_property_against_the_content_search(case):
+    theta, lam = case
+    row = _lr_row(theta, lam)
+    for sigma in partitions_of(sum(theta) - sum(lam)):
+        assert row.get(sigma, 0) == lr_by_content(theta, lam, sigma), (theta, lam, sigma)
+    assert 0 not in row.values()
+
+
+def count_lr_rows(monkeypatch, module):
+    """Wrap `_lr_row` where `module` reads it; the list collects each call's arguments."""
+    calls = []
+
+    def counted(theta, lam):
+        calls.append((theta, lam))
+        return _lr_row(theta, lam)
+
+    monkeypatch.setattr(module, "_lr_row", counted)
+    return calls
+
+
+def test_lr_coefficient_refuses_without_walking(monkeypatch):
+    calls = count_lr_rows(monkeypatch, tableaux)
+    assert lr_coefficient((2, 2), (3,), (1,)) == 0  # lam not inside theta
+    assert lr_coefficient((3, 1), (1,), (1,)) == 0  # size mismatch
+    assert calls == []
+    assert lr_coefficient((3, 2, 1), (2, 1), (2, 1)) == 2
+    assert calls == [((3, 2, 1), (2, 1))]
+
+
+def test_skew_schur_walks_once(monkeypatch):
+    calls = count_lr_rows(monkeypatch, symfunc)
+    shape = skew_shape((5, 4, 3, 2, 1), (3, 1))
+    got = skew_schur(shape)
+    assert calls == [(shape.outer, shape.inner)]
+    for sigma in partitions_of(shape.size):
+        assert got.coeffs.get(sigma, 0) == lr_by_content(shape.outer, shape.inner, sigma)
+
+
+def test_component_product_walks_once_per_sigma_and_lam(monkeypatch):
+    # (5,4,2,1)/(3,2): components (3,2)/(1) and (2,1) after re-basing.  The top
+    # split has sigma = theta only, so one walk per lam |- 4 inside theta.
+    shape = skew_shape((5, 4, 2, 1), (3, 2))
+    calls = count_lr_rows(monkeypatch, reductions)
+    direct = immanant_characters(shape)
+    for theta in partitions_of(7):
+        calls.clear()
+        assert immanant_character_from_components(theta, shape) == direct[theta], theta
+        assert calls == [(theta, lam) for lam in partitions_of(4) if contains(lam, theta)], theta
 
 
 # ------------------------------------------------------------ skew shapes
