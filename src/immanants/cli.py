@@ -204,10 +204,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from .verify import scan_records
+    from .verify import _scan_lines
 
-    for record in scan_records(args.max_n, args.max_size):
-        print(_dumps(record))
+    for lines in _scan_lines(args.max_n, args.max_size):  # one write per shape
+        sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 

@@ -16,7 +16,6 @@ from .characters import ClassFunction, character_table, zee
 from .tableaux import (
     Partition,
     SkewShape,
-    _as_ints,
     _Frozen,
     _lr_row,
     check_partition,
@@ -85,7 +84,9 @@ class SymFunc(_Frozen):
             if isinstance(val, bool) or not isinstance(val, (int, str)):
                 raise ValueError(f"coefficient is not an int or an exact string: {val!r}")
             coeffs[partition_from_key(key)] = val if isinstance(val, int) else Fraction(val)
-        return sym_func(obj["basis"], _as_ints((obj["degree"],))[0], coeffs)
+        if type(degree := obj["degree"]) is not int:  # as for a coefficient: no float or bool
+            raise ValueError(f"not an integer: {degree!r}")
+        return sym_func(obj["basis"], degree, coeffs)
 
     def __str__(self) -> str:
         terms = []

@@ -7,6 +7,7 @@ would falsify the implementation, not the theorems being exercised.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from itertools import chain, product
@@ -14,7 +15,6 @@ from operator import sub
 
 from .characters import (
     ClassFunction,
-    HPositiveDecomposition,
     character_table,
     h_positive_decomposition,
     induced_trivial_character,
@@ -486,33 +486,40 @@ def scan_records(max_n: int, max_size: int):
     Every record carries the induced-trivial expansion of the immanant
     character; hooks additionally carry their proven expansion.  The
     records report evidence only and assert nothing about open cases.
-    The records of one shape share its "shape" and "h" values, and each
-    distinct class function is expanded once per call.
+    Each is parsed from the line that `scan` prints for it.
     """
-    expanded: dict[tuple, HPositiveDecomposition] = {}
+    for lines in _scan_lines(max_n, max_size):
+        yield from map(json.loads, lines)
+
+
+def _scan_lines(max_n: int, max_size: int):
+    """Per connected shape in bounds, the JSON lines of its scan records.
+
+    What records share is encoded once: a shape's "shape" and "h", and
+    the expansion of each distinct class function, once per call.
+    """
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    expanded: dict[tuple, str] = {}
     for shape in _bounded_connected_shapes(max_n, max_size):
-        shape_json = shape.to_json()
-        h_values = list(hessenberg_from_skew(shape).values)
+        head = '{"shape":' + encode(shape.to_json()) + ',"theta":['
+        middle = ',"h":' + encode(list(hessenberg_from_skew(shape).values)) + ',"identity_kostka":'
         mu, nu = shape.padded()
         # The identity's content is the row widths, all positive on a connected shape.
         widths = tuple(sorted(map(sub, mu, nu), reverse=True))
         gammas = immanant_characters(shape)
         hooks = hook_decompositions(shape, filter(is_hook, gammas))
+        lines = []
         for theta, gamma in gammas.items():
             key = tuple(gamma.values.items())
-            if (dec := expanded.get(key)) is None:
-                dec = expanded[key] = h_positive_decomposition(gamma)
-            record = {
-                "shape": shape_json,
-                "theta": list(theta),
-                "hook": theta in hooks,
-                "h": h_values,
-                "identity_kostka": _ssyt_count(theta, (), widths),
-                "eta_expansion": dec.to_json(),
-                "h_positive": dec.is_integral and dec.is_nonnegative,
-            }
-            if record["hook"]:
-                record["summands"] = [
-                    {"h": list(h.values), "mult": m} for h, m in hooks[theta].summands
-                ]
-            yield record
+            if (eta := expanded.get(key)) is None:
+                dec = h_positive_decomposition(gamma)
+                positive = "true" if dec.is_integral and dec.is_nonnegative else "false"
+                eta = expanded[key] = f',"eta_expansion":{encode(dec.to_json())},"h_positive":{positive}'
+            line = head + ",".join(map(str, theta)) + (
+                '],"hook":true' if theta in hooks else '],"hook":false'
+            ) + middle + str(_ssyt_count(theta, (), widths)) + eta
+            if theta in hooks:
+                summands = [{"h": list(h.values), "mult": m} for h, m in hooks[theta].summands]
+                line += ',"summands":' + encode(summands)
+            lines.append(line + "}")
+        yield lines

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from immanants import HPositiveDecomposition, immanant_characters
 from immanants.cli import main
-from immanants.verify import CheckReport
+from immanants.verify import CheckReport, _bounded_connected_shapes
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +177,39 @@ def test_scan_streams_json_lines(capsys):
     # Shapes (1),(2),(3),(1,1),(2,1),(2,2)/(1); one record per theta of each size.
     assert len(lines) == 14
     assert all("eta_expansion" in r for r in lines)
+
+
+def test_scan_encodes_each_expansion_once_and_writes_once_per_shape(monkeypatch):
+    shapes = list(_bounded_connected_shapes(4, 7))
+    gammas = [gamma for shape in shapes for gamma in immanant_characters(shape).values()]
+    distinct = {tuple(gamma.values.items()) for gamma in gammas}
+    encoded = []
+    real_to_json = HPositiveDecomposition.to_json
+    monkeypatch.setattr(HPositiveDecomposition, "to_json",
+                        lambda dec: encoded.append(dec) or real_to_json(dec))
+
+    class Stdout:
+        def __init__(self):
+            self.chunks = []
+
+        def write(self, text):
+            self.chunks.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    stdout = Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["scan", "--max-n", "4", "--max-size", "7"]) == 0
+    # One expansion per distinct class function, not one per record.
+    assert len(encoded) == len(distinct) < len(gammas)
+    # One write per shape, holding every record of that shape.
+    assert len(stdout.chunks) == len(shapes)
+    for shape, chunk in zip(shapes, stdout.chunks):
+        records = [json.loads(line) for line in chunk.splitlines()]
+        assert chunk.endswith("\n") and len(records) == len(immanant_characters(shape))
+        assert all(record["shape"] == shape.to_json() for record in records)
 
 
 def test_decompose_refuses_the_empty_shape(capsys):

@@ -146,6 +146,12 @@ def test_symfunc_from_json_refuses_a_non_integral_degree():
     assert SymFunc.from_json(blob).coeffs == {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)}
     with pytest.raises(ValueError, match="not an integer: 2.5"):
         SymFunc.from_json({**blob, "degree": 2.5})
+    # A JSON float or bool equal to an int is no degree either.
+    line = {"basis": "h", "degree": 1, "coeffs": {"[1]": 1}}
+    assert SymFunc.from_json(line).coeffs == {(1,): 1}
+    for degree in (True, 1.0):
+        with pytest.raises(ValueError, match=f"not an integer: {degree!r}"):
+            SymFunc.from_json({**line, "degree": degree})
 
 
 @pytest.mark.parametrize("coeff", [0.1, 2.0, True])

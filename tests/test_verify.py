@@ -2,7 +2,8 @@ import json
 import math
 import sys
 from collections import Counter
-from itertools import product
+from fractions import Fraction
+from itertools import chain, product
 from operator import getitem
 
 import pytest
@@ -13,6 +14,7 @@ import immanants.jacobitrudi
 import immanants.verify
 from immanants import (
     ClassFunction,
+    HPositiveDecomposition,
     HookDecomposition,
     SkewShape,
     collected_coefficient,
@@ -39,6 +41,7 @@ from immanants.tableaux import _normalize_content
 from immanants.verify import (
     CheckReport,
     _bounded_connected_shapes,
+    _scan_lines,
     _shape_hooks,
     preabelian_example_shapes,
     run_suites,
@@ -346,6 +349,39 @@ def test_scan_identity_kostka_matches_the_public_wrapper():
         assert record["hook"] == is_hook(tuple(record["theta"]))
         records += 1
     assert records > 1000
+
+
+def assert_each_line_is_its_record(max_n, max_size):
+    lines = list(chain.from_iterable(_scan_lines(max_n, max_size)))
+    records = list(scan_records(max_n, max_size))
+    assert len(records) == len(lines)
+    keys = ["shape", "theta", "hook", "h", "identity_kostka", "eta_expansion", "h_positive"]
+    for record, line in zip(records, lines):
+        # json.loads keeps the line's key order, so the text check alone passes a swap.
+        assert json.dumps(record, separators=(",", ":")) == line
+        assert list(record) == keys + ["summands"] * record["hook"]
+    return records
+
+
+def test_each_scan_line_is_its_record():
+    records = assert_each_line_is_its_record(4, 7)
+    assert len(records) > 1000 and {r["hook"] for r in records} == {True, False}
+
+
+def test_a_non_integral_expansion_scans_as_strings_and_not_h_positive(monkeypatch):
+    # Every record in these bounds is h-positive; halving plants the other branch.
+    real = immanants.verify.h_positive_decomposition
+
+    def halved(gamma):
+        dec = real(gamma)
+        halves = {lam: Fraction(c, 2) for lam, c in dec.coefficients.items()}
+        return HPositiveDecomposition(dec.n, halves, False, dec.is_nonnegative)
+
+    monkeypatch.setattr(immanants.verify, "h_positive_decomposition", halved)
+    records = assert_each_line_is_its_record(3, 5)
+    assert all(r["h_positive"] is False for r in records)
+    coefficients = [r["eta_expansion"]["coefficients"] for r in records]
+    assert any(isinstance(c, str) for cs in coefficients for c in cs.values())
 
 
 def count_leading_runs(monkeypatch):
