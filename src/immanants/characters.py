@@ -17,10 +17,11 @@ from typing import TYPE_CHECKING
 
 from .tableaux import (
     Partition,
+    _by_partition,
     _Frozen,
+    _json_ints,
     check_partition,
     inverse_kostka_matrix,
-    partition_from_key,
     partition_key,
     partitions_of,
 )
@@ -102,10 +103,8 @@ class ClassFunction(_Frozen):
     @staticmethod
     def from_json(obj: dict) -> "ClassFunction":
         n, values = obj["n"], obj["values"]
-        for v in (n, *values.values()):  # a float or bool would enter exact arithmetic rounded
-            if type(v) is not int:
-                raise ValueError(f"not an integer: {v!r}")
-        return ClassFunction(n, dict(zip(map(partition_from_key, values), values.values())))
+        _json_ints((n, *values.values()))
+        return ClassFunction(n, _by_partition(values))
 
 
 def zero_character(n: int) -> ClassFunction:

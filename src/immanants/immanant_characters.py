@@ -6,10 +6,10 @@ the s_theta coefficient of the phi-immanant of the shape's Jacobi-Trudi
 matrix.  For theta = (N) it collapses to the Stanley-Stembridge
 character of the shape's Hessenberg function h.  For hook thetas it
 expands as an explicit non-negative sum of Stanley-Stembridge
-characters: each summand takes the ones-deleted pattern h' on a
-leg-sized subset of the first n-1 columns and h elsewhere.  Subscripts
-strictly decrease down a column, so h' = h - 1 exactly at the columns
-whose bottom nonzero entry is the constant 1.
+characters, read off the multiplicity formula: the first n-1 columns are
+a fixed ones (h' = h) and lowerable ones (h' = h - 1, where the bottom
+nonzero entry is the constant 1), and each set T of lowerable columns gives
+the summand h' on T, h elsewhere, with multiplicity binom(a, leg - |T|).
 """
 
 from __future__ import annotations
@@ -176,9 +176,11 @@ class HookDecomposition(_Frozen):
 def hook_decompositions(shape: SkewShape, thetas) -> dict[Partition, HookDecomposition]:
     """Expand the immanant character at each hook theta over lowered Hessenberg functions.
 
-    One summand per leg-sized subset S of the first n-1 columns: h' on S
-    and h elsewhere, collected with multiplicities in first-seen order.  A
-    leg longer than n-1 has no such subset, so its expansion is empty.
+    Each subset T of the lowerable columns with leg - a <= |T| <= leg gives
+    the summand h' on T and h elsewhere, with multiplicity binom(a, leg - |T|):
+    the leg-sized subsets of the first n-1 columns lowering exactly T.  They
+    come in the order of the first such subset, T plus the leftmost fixed
+    columns; a leg longer than n-1 has no T, so its expansion is empty.
     Every theta is checked before any work, and h and h' are computed once
     for all of them.  Requires a shape with at least one row and no empty
     rows; callers must strip empty rows first (see reductions.remove_empty_rows).
@@ -194,18 +196,22 @@ def hook_decompositions(shape: SkewShape, thetas) -> dict[Partition, HookDecompo
         raise ValueError("the hook expansion needs a shape with at least one row")
     # a row and no empty one, so h'(j) >= j and hess_prime cannot raise
     base, prime = hessenberg_from_skew(shape), hess_prime(shape)
-    n = shape.rows
+    columns = range(shape.rows - 1)
+    lowerable = tuple(j for j in columns if prime.values[j] != base.values[j])
+    fixed = tuple(j for j in columns if prime.values[j] == base.values[j])
+    a = len(fixed)
     out = {}
     for theta, k in legs.items():
-        collected: dict[tuple[int, ...], int] = {}  # first-seen order
-        for subset in combinations(range(n - 1), k):
-            values = list(base.values)
-            for j in subset:
-                values[j] = prime.values[j]
-            values = tuple(values)
-            collected[values] = collected.get(values, 0) + 1
-        summands = tuple((HessenbergFunction(v), m) for v, m in collected.items())
-        out[theta] = HookDecomposition(theta, shape, base, prime, k, summands)
+        first_subsets = sorted(
+            (sorted(lowered + fixed[: k - t]), lowered)
+            for t in range(max(0, k - a), min(k, len(lowerable)) + 1)
+            for lowered in combinations(lowerable, t)
+        )
+        summands = []
+        for _, lowered in first_subsets:
+            values = tuple(prime.values[j] if j in lowered else v for j, v in enumerate(base.values))
+            summands.append((HessenbergFunction(values), math.comb(a, k - len(lowered))))
+        out[theta] = HookDecomposition(theta, shape, base, prime, k, tuple(summands))
     return out
 
 
@@ -216,27 +222,8 @@ def hook_decomposition(theta, shape: SkewShape) -> HookDecomposition:
 
 
 def collected_coefficient(decomp: HookDecomposition, h: HessenbergFunction) -> int:
-    """Closed-form multiplicity binom(a, b) of a collected summand.
-
-    Of the first n-1 columns, a counts those where h' = h (nothing to
-    lower), and b is the leg minus the number where the summand is
-    lowered.  Checked against the enumerated multiplicity.
-    """
-    return _checked_coefficient(decomp, h, decomp.multiplicity(h))  # KeyError if not a summand
-
-
-def _checked_coefficient(decomp: HookDecomposition, h: HessenbergFunction, enumerated: int) -> int:
-    """The closed form binom(a, b) for summand h, asserted equal to `enumerated`."""
-    base = decomp.base.values[: decomp.shape.rows - 1]
-    a = sum(p == v for p, v in zip(decomp.prime.values, base))
-    b = decomp.leg - sum(g != v for g, v in zip(h.values, base))
-    predicted = math.comb(a, b) if b >= 0 else 0
-    if predicted != enumerated:
-        raise AssertionError(
-            f"multiplicity formula binom({a},{b})={predicted} disagrees with "
-            f"enumerated {enumerated} for {h}"
-        )
-    return predicted
+    """Multiplicity binom(a, leg - |T|) of the summand h lowered on T; KeyError if h is not one."""
+    return decomp.multiplicity(h)
 
 
 def is_abelian(h: HessenbergFunction) -> bool:

@@ -16,12 +16,13 @@ from .characters import ClassFunction, character_table, zee
 from .tableaux import (
     Partition,
     SkewShape,
+    _by_partition,
     _Frozen,
+    _json_ints,
     _lr_row,
     check_partition,
     inverse_kostka_matrix,
     kostka_matrix,
-    partition_from_key,
     partition_key,
     partitions_of,
 )
@@ -78,15 +79,13 @@ class SymFunc(_Frozen):
 
     @staticmethod
     def from_json(obj: dict) -> "SymFunc":
-        coeffs = {}
-        for key, val in obj["coeffs"].items():
+        coeffs = _by_partition(obj["coeffs"])
+        for lam, val in coeffs.items():
             # A float (or bool) would enter exact arithmetic as whatever it rounded to.
             if isinstance(val, bool) or not isinstance(val, (int, str)):
                 raise ValueError(f"coefficient is not an int or an exact string: {val!r}")
-            coeffs[partition_from_key(key)] = val if isinstance(val, int) else Fraction(val)
-        if type(degree := obj["degree"]) is not int:  # as for a coefficient: no float or bool
-            raise ValueError(f"not an integer: {degree!r}")
-        return sym_func(obj["basis"], degree, coeffs)
+            coeffs[lam] = val if isinstance(val, int) else Fraction(val)
+        return sym_func(obj["basis"], _json_ints((obj["degree"],))[0], coeffs)
 
     def __str__(self) -> str:
         terms = []

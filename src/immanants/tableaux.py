@@ -29,6 +29,14 @@ def _as_ints(values: Iterable) -> tuple[int, ...]:
     return ints
 
 
+def _json_ints(values: Iterable) -> tuple:
+    """The values, refusing any that is not an int: a JSON float or bool would load rounded."""
+    values = tuple(values)
+    if bad := [v for v in values if type(v) is not int]:
+        raise ValueError(f"not an integer: {bad[0]!r}")
+    return values
+
+
 def check_partition(parts: Iterable[int]) -> Partition:
     """Validate a weakly decreasing sequence and strip trailing zeros."""
     p = _as_ints(parts)
@@ -207,7 +215,9 @@ class SkewShape(_Frozen):
 
     @staticmethod
     def from_json(obj: dict) -> "SkewShape":
-        return skew_shape(obj["outer"], obj.get("inner", ()), obj.get("rows"))
+        rows = obj.get("rows")
+        rows = rows if rows is None else _json_ints((rows,))[0]
+        return skew_shape(_json_ints(obj["outer"]), _json_ints(obj.get("inner", ())), rows)
 
     def __str__(self) -> str:
         outer = ",".join(map(str, self.outer)) or "-"
@@ -449,7 +459,17 @@ def partition_key(p: Partition) -> str:
 
 
 def partition_from_key(key: str) -> Partition:
-    return check_partition(json.loads(key))
+    return check_partition(_json_ints(json.loads(key)))
+
+
+def _by_partition(obj: dict) -> dict:
+    """A JSON object's values keyed by `partition_from_key`, refusing two keys for one partition."""
+    keys = {}
+    for key in obj:
+        if (p := partition_from_key(key)) in keys:
+            raise ValueError(f"keys {keys[p]!r} and {key!r} name one partition {list(p)}")
+        keys[p] = key
+    return {p: obj[key] for p, key in keys.items()}
 
 
 def connected_skew_shapes(rows: int, size: int) -> Iterator[SkewShape]:

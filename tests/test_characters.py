@@ -147,6 +147,14 @@ def test_class_function_from_json_refuses_non_integers(blob):
         ClassFunction.from_json(blob)
 
 
+def test_class_function_from_json_refuses_two_keys_for_one_cycle_type():
+    values = {"[2,1]": 5, "[2,1,0]": 7, "[3]": 1, "[1,1,1]": 1}
+    with pytest.raises(ValueError, match=r"keys '\[2,1\]' and '\[2,1,0\]' name one partition"):
+        ClassFunction.from_json({"n": 3, "values": values})
+    with pytest.raises(ValueError, match="not an integer: 1.0"):
+        ClassFunction.from_json({"n": 1, "values": {"[1.0]": 1}})
+
+
 def test_class_function_refuses_a_cycle_type_of_another_size():
     chi = trivial_character(2)
     assert chi((1, 1)) == 1

@@ -4,6 +4,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immanants import (
     character_table,
@@ -297,10 +299,12 @@ def test_pointwise_kostka_identity_small():
 
 
 def corner_lowered_summands(shape, leg):
-    """Oracle: lower h(j) on each chosen column j < n whose bottom nonzero entry is 1.
+    """Oracle: one summand per leg-sized subset of the first n-1 columns, collected.
 
-    Reads the subscript grid directly: the bottom nonzero entry of column j
-    sits in row h(j), and it is the constant 1 when its subscript is 0.
+    Lowers h(j) on each chosen column j whose bottom nonzero entry is 1,
+    reading the subscript grid directly: that entry sits in row h(j), and it
+    is the constant 1 when its subscript is 0.  Summands come in first-seen
+    order, so this also fixes the order `hook_decompositions` gives them.
     """
     sub = jt_matrix(shape).sub
     base = hessenberg_from_skew(shape).values
@@ -314,6 +318,15 @@ def corner_lowered_summands(shape, leg):
     return [(values, m) for values, m in collected.items()]
 
 
+def assert_matches_corner_lowering(shape):
+    """Every hook of the shape's size, legs past n - 1 included, against the oracle."""
+    hooks = hooks_of(shape.size)
+    for theta, dec in hook_decompositions(shape, hooks).items():
+        got = [(h.values, m) for h, m in dec.summands]
+        assert got == corner_lowered_summands(shape, dec.leg), (shape, theta)
+    return len(hooks)
+
+
 def test_hook_decomposition_matches_corner_lowering_oracle():
     pairs = 0
     for n in range(1, 7):
@@ -322,14 +335,27 @@ def test_hook_decomposition_matches_corner_lowering_oracle():
                 base = hessenberg_from_skew(shape).values
                 prime = hess_prime(shape).values
                 assert all(b - p in (0, 1) for b, p in zip(base, prime)), shape
-                for leg in range(min(n, size)):
-                    dec = hook_decomposition(hook_partition(size, leg), shape)
-                    got = [(h.values, m) for h, m in dec.summands]
-                    assert got == corner_lowered_summands(shape, leg), (shape, leg)
-                    for h, m in dec.summands:
-                        assert collected_coefficient(dec, h) == m, (shape, leg, h)
-                    pairs += 1
-    assert pairs == 8965
+                pairs += assert_matches_corner_lowering(shape)
+    assert pairs == 18665
+
+
+@st.composite
+def tall_connected_shapes(draw):
+    """A connected skew shape with 7 to 9 rows, each 1 to 4 boxes wide."""
+    rows = draw(st.integers(7, 9))
+    outer, inner = [draw(st.integers(1, 4))], [0]  # bottom row first, anchored at column 1
+    for _ in range(rows - 1):
+        nu = draw(st.integers(inner[-1], outer[-1] - 1))  # overlaps the row below
+        outer.append(draw(st.integers(max(outer[-1], nu + 1), nu + 4)))
+        inner.append(nu)
+    return skew_shape(outer[::-1], inner[::-1])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(tall_connected_shapes())
+def test_hook_decomposition_matches_corner_lowering_oracle_at_7_to_9_rows(shape):
+    assert shape.is_connected and 7 <= shape.rows <= 9
+    assert_matches_corner_lowering(shape)
 
 
 def test_hook_decompositions_match_one_theta_at_a_time():

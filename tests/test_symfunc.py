@@ -154,6 +154,14 @@ def test_symfunc_from_json_refuses_a_non_integral_degree():
             SymFunc.from_json({**line, "degree": degree})
 
 
+def test_symfunc_from_json_refuses_two_keys_for_one_partition():
+    blob = {"basis": "h", "degree": 2, "coeffs": {"[2]": 1, "[2,0]": 3}}
+    with pytest.raises(ValueError, match=r"keys '\[2\]' and '\[2,0\]' name one partition"):
+        SymFunc.from_json(blob)
+    with pytest.raises(ValueError, match="not an integer: True"):
+        SymFunc.from_json({**blob, "coeffs": {"[1,true]": 1}})
+
+
 @pytest.mark.parametrize("coeff", [0.1, 2.0, True])
 def test_symfunc_from_json_refuses_float_and_bool_coefficients(coeff):
     blob = {"basis": "h", "degree": 1, "coeffs": {"[1]": 3}}

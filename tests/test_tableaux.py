@@ -39,6 +39,7 @@ from immanants.tableaux import (
     _strips,
     check_partition,
     inverse_kostka_matrix,
+    partition_from_key,
 )
 
 
@@ -836,6 +837,25 @@ def test_skew_shape_json_roundtrip():
     s = skew_shape((3, 3, 3, 1), (1, 1), rows=5)
     blob = json.dumps(s.to_json())
     assert SkewShape.from_json(json.loads(blob)) == s
+
+
+@pytest.mark.parametrize("blob", [
+    {"outer": [2.0, True], "rows": 2.0},
+    {"outer": [2.0, 1]},
+    {"outer": [2, 1], "inner": [True]},
+    {"outer": [2, 1], "rows": 2.0},
+    {"outer": [2, 1], "rows": False},
+])
+def test_skew_shape_from_json_refuses_float_and_bool_parts(blob):
+    with pytest.raises(ValueError, match="not an integer"):
+        SkewShape.from_json(blob)
+
+
+def test_partition_from_key_refuses_float_and_bool_parts():
+    assert partition_from_key("[2,1,0]") == (2, 1)
+    for key in ("[2.0,true]", "[2,1.0]", "[true]"):
+        with pytest.raises(ValueError, match="not an integer"):
+            partition_from_key(key)
 
 
 def test_skew_shape_refuses_a_non_integral_row_count():
