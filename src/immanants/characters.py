@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from functools import cache, reduce
-from operator import mul
 from typing import TYPE_CHECKING
 
 from .tableaux import (
@@ -217,7 +216,8 @@ def induction_product(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
 
 
 class HPositiveDecomposition(_Frozen):
-    """Expansion of a class function over the induced trivial basis.
+    """Expansion of a class function over the induced trivial basis, keyed in
+    `partitions_of` order (see `h_positive_decomposition`).
 
     Coefficients are ints when the expansion is integral, and Fractions
     otherwise (an int equals the Fraction of the same value).
@@ -259,46 +259,31 @@ def _partition_keys(n: int) -> list[tuple[Partition, str]]:
     return [(lam, partition_key(lam)) for lam in partitions_of(n)]
 
 
-@cache
-def _weighted_monomial_rows(n: int) -> dict[Partition, list[int]]:
-    """Per lam, class_size(rho) * phi_lam(rho) over partitions_of(n): the
-    n!-scaled inner product with phi_lam is one dot product with this row."""
-    classes = partitions_of(n)
-    return {
-        lam: [class_size(rho) * monomial_character(lam).values[rho] for rho in classes]
-        for lam in classes
-    }
-
-
 def h_positive_decomposition(chi: ClassFunction) -> HPositiveDecomposition:
     """Coefficients of chi over the induced trivial characters.
 
-    The coefficient at lam is the inner product with the dual monomial
-    virtual character, computed n!-scaled in integers.  Non-integral
-    coefficients mean chi is not a virtual character; they are reported as
-    Fractions, not raised.  Integral results are ints, and the expansion is
-    re-summed and checked against chi exactly.
+    One triangular solve of chi = sum of c_lam * eta_lam: eta_lam(rho) is 0
+    unless the cycles of rho merge into the blocks of lam, so unless lam comes
+    at or before rho in `partitions_of` order, and eta_rho(rho) = prod m_i(rho)!.
+    Walking rho in that order, c_rho is what the earlier terms leave of chi(rho),
+    divided by eta_rho(rho).  Non-integral coefficients mean chi is not a
+    virtual character; they are reported as Fractions, not raised.
     """
     n = chi.n
-    classes = partitions_of(n)
-    values = [chi.values[rho] for rho in classes]
-    order = math.factorial(n)
-    scaled = {
-        lam: sum(map(mul, row, values)) for lam, row in _weighted_monomial_rows(n).items()
-    }
-    integral = all(s % order == 0 for s in scaled.values())
-    nonneg = all(s >= 0 for s in scaled.values())
-    if not integral:
-        from fractions import Fraction
+    coeffs: dict[Partition, int | Fraction] = {}
+    integral = True
+    for rho in partitions_of(n):
+        rest = chi.values[rho] - sum(
+            c * _induced_trivial_character(lam).values[rho] for lam, c in coeffs.items() if c
+        )
+        pivot = _induced_trivial_character(rho).values[rho]
+        if rest % pivot:
+            from fractions import Fraction
 
-        coeffs = {lam: Fraction(s, order) for lam, s in scaled.items()}
-        return HPositiveDecomposition(n, coeffs, integral, nonneg)
-    coeffs = {lam: s // order for lam, s in scaled.items()}
-    recon = [0] * len(classes)
-    for lam, c in coeffs.items():
-        if c:
-            eta = induced_trivial_character(lam).values
-            recon = [r + c * eta[rho] for r, rho in zip(recon, classes)]
-    if recon != values:
-        raise AssertionError("induced-trivial expansion failed to reconstruct input")
+            coeffs[rho], integral = Fraction(rest, pivot), False
+        else:
+            coeffs[rho] = rest // pivot
+    if not integral:
+        coeffs = {lam: Fraction(c) for lam, c in coeffs.items()}
+    nonneg = all(c >= 0 for c in coeffs.values())
     return HPositiveDecomposition(n, coeffs, integral, nonneg)

@@ -9,7 +9,13 @@ Littlewood-Richardson coefficients.
 
 from __future__ import annotations
 
-from .characters import ClassFunction, induction_product, trivial_character, zero_character
+from .characters import (
+    ClassFunction,
+    induced_trivial_character,
+    induction_product,
+    trivial_character,
+    zero_character,
+)
 from .immanant_characters import check_theta_size, immanant_characters
 from .tableaux import (
     SkewShape,
@@ -75,13 +81,11 @@ def induce_up(chi: ClassFunction) -> ClassFunction:
 
 
 def induce_to(chi: ClassFunction, n: int) -> ClassFunction:
-    """Repeated one-letter induction up to S_n."""
+    """Induce from S_m to S_n: the induction product with the regular character
+    of S_(n-m), which is the induced trivial character at (1^(n-m))."""
     if n < chi.n:
         raise ValueError(f"cannot induce from S_{chi.n} down to S_{n}")
-    out = chi
-    while out.n < n:
-        out = induce_up(out)
-    return out
+    return induction_product(chi, induced_trivial_character((1,) * (n - chi.n)))
 
 
 def immanant_character_from_components(theta, shape: SkewShape) -> ClassFunction:

@@ -29,8 +29,11 @@ def _as_ints(values: Iterable) -> tuple[int, ...]:
     return ints
 
 
-def _json_ints(values: Iterable) -> tuple:
-    """The values, refusing any that is not an int: a JSON float or bool would load rounded."""
+def _json_ints(values: list | tuple) -> tuple:
+    """The values, refusing a non-list and any value that is not an int: a JSON float or
+    bool would load rounded."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"not a list: {values!r}")
     values = tuple(values)
     if bad := [v for v in values if type(v) is not int]:
         raise ValueError(f"not an integer: {bad[0]!r}")

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
 import pytest
@@ -34,10 +35,15 @@ from immanants.characters import (
     HPositiveDecomposition,
     _induced_trivial_character,
     _monomial_character,
-    _weighted_monomial_rows,
 )
+from immanants.immanant_characters import immanant_characters
 from immanants.symfunc import convert, frobenius, frobenius_inverse, homogeneous, multiply, sym_func
-from immanants.verify import suite_characters
+from immanants.verify import (
+    _bounded_connected_shapes,
+    scan_records,
+    suite_characters,
+    suite_positivity,
+)
 
 S3_CLASSES = [(1, 1, 1), (2, 1), (3,)]
 S4_CLASSES = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
@@ -83,6 +89,55 @@ def kostka_eta_oracle(lam):
     for theta in partitions_of(n):
         out = out + km[theta][lam] * irreducible_character(theta)
     return out
+
+
+@cache
+def _weighted_monomial_rows(n):
+    """Per lam, class_size(rho) * phi_lam(rho) over partitions_of(n): the
+    n!-scaled inner product with phi_lam is one dot product with this row."""
+    classes = partitions_of(n)
+    return {
+        lam: [class_size(rho) * monomial_character(lam).values[rho] for rho in classes]
+        for lam in classes
+    }
+
+
+def dual_basis_h_positive_decomposition(chi):
+    """The expansion over the induced trivial basis through the dual basis: the
+    coefficient at lam is the inner product with the monomial character phi_lam,
+    n!-scaled in integers, and an integral expansion is re-summed against chi."""
+    n = chi.n
+    classes = partitions_of(n)
+    values = [chi.values[rho] for rho in classes]
+    order = math.factorial(n)
+    scaled = {
+        lam: sum(map(mul, row, values)) for lam, row in _weighted_monomial_rows(n).items()
+    }
+    integral = all(s % order == 0 for s in scaled.values())
+    nonneg = all(s >= 0 for s in scaled.values())
+    if not integral:
+        coeffs = {lam: Fraction(s, order) for lam, s in scaled.items()}
+        return HPositiveDecomposition(n, coeffs, integral, nonneg)
+    coeffs = {lam: s // order for lam, s in scaled.items()}
+    recon = [0] * len(classes)
+    for lam, c in coeffs.items():
+        if c:
+            eta = induced_trivial_character(lam).values
+            recon = [r + c * eta[rho] for r, rho in zip(recon, classes)]
+    if recon != values:
+        raise AssertionError("induced-trivial expansion failed to reconstruct input")
+    return HPositiveDecomposition(n, coeffs, integral, nonneg)
+
+
+def assert_same_expansion(dec, want):
+    """Coefficients, key order, coefficient types, flags and JSON bytes all agree."""
+    assert dec.coefficients == want.coefficients
+    assert list(dec.coefficients) == list(want.coefficients)
+    assert [type(c) for c in dec.coefficients.values()] == [
+        type(c) for c in want.coefficients.values()
+    ]
+    assert (dec.is_integral, dec.is_nonnegative) == (want.is_integral, want.is_nonnegative)
+    assert json.dumps(dec.to_json()) == json.dumps(want.to_json())
 
 
 # ------------------------------------------------------------ class sizes
@@ -145,6 +200,12 @@ def test_class_function_arithmetic_and_json():
 def test_class_function_from_json_refuses_non_integers(blob):
     with pytest.raises(ValueError, match="not an integer"):
         ClassFunction.from_json(blob)
+
+
+@pytest.mark.parametrize("key, value", [("5", "5"), ("null", "None"), ('"1"', "'1'")])
+def test_class_function_from_json_refuses_a_key_that_is_not_a_list(key, value):
+    with pytest.raises(ValueError, match=f"not a list: {value}"):
+        ClassFunction.from_json({"n": 1, "values": {key: 1}})
 
 
 def test_class_function_from_json_refuses_two_keys_for_one_cycle_type():
@@ -366,26 +427,10 @@ def test_h_positive_matches_inner_products_with_monomials(chi):
 
 
 def fraction_h_positive_decomposition(chi):
-    """The Fraction body `h_positive_decomposition` had before it computed in integers."""
-    n = chi.n
-    classes = partitions_of(n)
-    values = [chi.values[rho] for rho in classes]
-    order = math.factorial(n)
-    coeffs = {
-        lam: Fraction(sum(map(mul, row, values)), order)
-        for lam, row in _weighted_monomial_rows(n).items()
-    }
-    integral = all(c.denominator == 1 for c in coeffs.values())
-    nonneg = all(c >= 0 for c in coeffs.values())
-    if integral:
-        recon = [0] * len(classes)
-        for lam, c in coeffs.items():
-            if c:
-                eta = induced_trivial_character(lam).values
-                recon = [r + int(c) * eta[rho] for r, rho in zip(recon, classes)]
-        if recon != values:
-            raise AssertionError("induced-trivial expansion failed to reconstruct input")
-    return HPositiveDecomposition(n, coeffs, integral, nonneg)
+    """`dual_basis_h_positive_decomposition` with every coefficient a Fraction."""
+    dec = dual_basis_h_positive_decomposition(chi)
+    coeffs = {lam: Fraction(c) for lam, c in dec.coefficients.items()}
+    return HPositiveDecomposition(dec.n, coeffs, dec.is_integral, dec.is_nonnegative)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -401,13 +446,37 @@ def test_h_positive_in_integers_matches_the_fraction_body(chi):
     assert all(type(c) is kind for c in dec.coefficients.values())
 
 
-def test_h_positive_reconstruction_check_raises(monkeypatch):
-    chi = induced_trivial_character((2, 1))
-    monkeypatch.setattr(
-        "immanants.characters.induced_trivial_character", lambda lam: trivial_character(sum(lam))
-    )
-    with pytest.raises(AssertionError, match="failed to reconstruct"):
-        h_positive_decomposition(chi)
+def test_h_positive_matches_the_dual_basis_oracle_on_every_small_gamma():
+    # Every distinct gamma_theta of the connected shapes with <= 5 rows and <= 9 boxes.
+    gammas = {}
+    for shape in _bounded_connected_shapes(5, 9):
+        for gamma in immanant_characters(shape).values():
+            gammas.setdefault(tuple(gamma.values.items()), gamma)
+    assert len(gammas) == 760
+    for gamma in gammas.values():
+        want = dual_basis_h_positive_decomposition(gamma)
+        assert_same_expansion(h_positive_decomposition(gamma), want)
+
+
+def test_induced_trivial_characters_are_triangular_in_partition_order():
+    # The lemma the triangular solve rests on: eta_lam(rho) = 0 when lam comes
+    # after rho in partitions_of order, and eta_rho(rho) = prod of m_i(rho)!.
+    for n in range(11):
+        classes = partitions_of(n)
+        for i, rho in enumerate(classes):
+            assert all(induced_trivial_character(lam).values[rho] == 0 for lam in classes[i + 1:])
+            pivot = math.prod(math.factorial(rho.count(part)) for part in set(rho))
+            assert induced_trivial_character(rho).values[rho] == pivot, rho
+
+
+def test_scan_and_positivity_build_no_monomial_character():
+    for cached in (_monomial_character, tableaux.inverse_kostka_matrix):
+        cached.cache_clear()
+    for _ in scan_records(4, 7):
+        pass
+    assert suite_positivity(4, 7).instances
+    assert _monomial_character.cache_info().misses == 0
+    assert tableaux.inverse_kostka_matrix.cache_info().misses == 0
 
 
 # ------------------------------------------------------------ planted fault
@@ -444,9 +513,14 @@ def kostka_fault(monkeypatch):
         cached.cache_clear()
 
 
-def test_a_planted_kostka_fault_breaks_the_phi_eta_duality(kostka_fault):
+def test_a_planted_kostka_fault_breaks_the_phi_eta_duality(kostka_fault, monkeypatch):
     report = suite_characters(5)
     assert report.failures == [{"n": 4, "pair": [[4], [2, 2]], "basis": "phi-eta"}]
-    gamma = immanant_character((4, 2), skew_shape((2, 2, 2, 1), (1,)))
-    with pytest.raises(AssertionError, match="failed to reconstruct"):
-        h_positive_decomposition(gamma)
+    # The triangular solve reads no Kostka number: its expansion is the one
+    # found once the plant is gone.
+    shape = skew_shape((2, 2, 2, 1), (1,))
+    planted = h_positive_decomposition(immanant_character((4, 2), shape))
+    monkeypatch.undo()
+    for cached in KOSTKA_CACHES:
+        cached.cache_clear()
+    assert_same_expansion(planted, h_positive_decomposition(immanant_character((4, 2), shape)))

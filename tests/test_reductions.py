@@ -186,6 +186,18 @@ def test_induce_to_runs_multiple_steps():
         induce_to(trivial_character(3), 2)
 
 
+def test_induce_to_is_repeated_induce_up():
+    # One induction product with the regular character of S_(n-m) is n - m
+    # one-letter inductions.
+    rng = random.Random(1732)
+    for m in range(6):
+        chi = random_class_function(rng, m)
+        up = chi
+        for n in range(m, m + 5):
+            assert induce_to(chi, n) == up, (m, n)
+            up = induce_up(up)
+
+
 def test_minimal_row_characters_induce_to_padded_ones():
     shapes = [
         skew_shape((3, 2), (1,)),

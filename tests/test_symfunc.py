@@ -162,6 +162,12 @@ def test_symfunc_from_json_refuses_two_keys_for_one_partition():
         SymFunc.from_json({**blob, "coeffs": {"[1,true]": 1}})
 
 
+@pytest.mark.parametrize("key, value", [("5", "5"), ("null", "None")])
+def test_symfunc_from_json_refuses_a_key_that_is_not_a_list(key, value):
+    with pytest.raises(ValueError, match=f"not a list: {value}"):
+        SymFunc.from_json({"basis": "h", "degree": 1, "coeffs": {key: 1}})
+
+
 @pytest.mark.parametrize("coeff", [0.1, 2.0, True])
 def test_symfunc_from_json_refuses_float_and_bool_coefficients(coeff):
     blob = {"basis": "h", "degree": 1, "coeffs": {"[1]": 3}}

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -851,10 +852,25 @@ def test_skew_shape_from_json_refuses_float_and_bool_parts(blob):
         SkewShape.from_json(blob)
 
 
+@pytest.mark.parametrize("blob, value", [
+    ({"outer": 5}, "5"),
+    ({"outer": None}, "None"),
+    ({"outer": "21"}, "'21'"),
+    ({"outer": [2, 1], "inner": 1}, "1"),
+])
+def test_skew_shape_from_json_refuses_a_value_that_is_not_a_list(blob, value):
+    with pytest.raises(ValueError, match=f"not a list: {value}"):
+        SkewShape.from_json(blob)
+
+
 def test_partition_from_key_refuses_float_and_bool_parts():
     assert partition_from_key("[2,1,0]") == (2, 1)
     for key in ("[2.0,true]", "[2,1.0]", "[true]"):
         with pytest.raises(ValueError, match="not an integer"):
+            partition_from_key(key)
+    # Valid JSON that is not a list.
+    for key, value in (("5", "5"), ("null", "None"), ('"21"', "'21'"), ('{"2": 1}', "{'2': 1}")):
+        with pytest.raises(ValueError, match=f"not a list: {re.escape(value)}"):
             partition_from_key(key)
 
 
