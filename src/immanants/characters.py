@@ -101,9 +101,9 @@ class ClassFunction(_Frozen):
 
     @staticmethod
     def from_json(obj: dict) -> "ClassFunction":
-        n, values = obj["n"], obj["values"]
+        n, values = obj["n"], _by_partition(obj["values"])
         _json_ints((n, *values.values()))
-        return ClassFunction(n, _by_partition(values))
+        return ClassFunction(n, values)
 
 
 def zero_character(n: int) -> ClassFunction:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import combinations
 
 from .characters import ClassFunction, zee
 from .jacobitrudi import (
@@ -32,7 +31,7 @@ from .tableaux import (
     Partition,
     SkewShape,
     _Frozen,
-    _ssyt_count,
+    _pieri_layers,
     check_partition,
     hook_leg,
     partitions_of,
@@ -76,6 +75,11 @@ def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassF
     SSYT(theta - e_1, alpha - e_i); its inverse inserts an i after the block.
     So both contents count K((|a| - |bar|, bar), a) for a = min(alpha, c) and
     bar = (theta_2, ...), 0 when that first part is below theta_2.
+
+    Every alpha has at most `rows` parts, so a theta with more has gamma 0.  The
+    others are padded to the longest of them, and one `_pieri_layers` walk inside their
+    entrywise maximum gives every K(mu, alpha) as alpha's last layer, mu -> K(mu, alpha);
+    each layer is folded into the asked thetas' rows as it comes, and dropped.
     """
     if thetas is None:
         thetas = partitions_of(shape.size)
@@ -85,16 +89,22 @@ def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassF
             check_theta_size(theta, shape)
     c = max((theta[1] for theta in thetas if len(theta) > 1), default=0)
     counts = cycle_cover_counts(_clip(jt_matrix(shape).sub, c))
-    n = shape.size
-    classes = []
-    for rho in partitions_of(shape.rows):
-        whole = [((n - sum(a[1:]), *a[1:]) if n else a, m) for a, m in counts.get(rho, {}).items()]
-        classes.append((rho, zee(rho), whole))
-    out = {}
-    for theta in thetas:
-        values = {r: z * sum(m * _ssyt_count(theta, (), a) for a, m in ms) for r, z, ms in classes}
-        out[theta] = ClassFunction(shape.rows, values)
-    return out
+    n, rows, classes = shape.size, shape.rows, partitions_of(shape.rows)
+    weights: dict[Partition, list[tuple[int, int]]] = {}  # alpha: (class index, zee * N)
+    for i, rho in enumerate(classes):
+        for a, m in counts.get(rho, {}).items():
+            weights.setdefault((n - sum(a[1:]), *a[1:]) if n else a, []).append((i, zee(rho) * m))
+    width = max((len(theta) for theta in thetas if len(theta) <= rows), default=0)
+    padded = {theta: theta + (0,) * (width - len(theta)) for theta in thetas if len(theta) <= rows}
+    acc = {mu: [0] * len(classes) for mu in padded.values()}
+    for alpha, layer in _pieri_layers(tuple(map(max, zip(*acc))), (), weights):
+        for mu, k in layer.items():
+            if (row := acc.get(mu)) is not None:
+                for i, w in weights[alpha]:
+                    row[i] += w * k
+    zero = ClassFunction(rows, dict.fromkeys(classes, 0))
+    by_mu = {mu: ClassFunction(rows, dict(zip(classes, row))) for mu, row in acc.items()}
+    return {theta: by_mu[padded[theta]] if theta in padded else zero for theta in thetas}
 
 
 def _clip(sub, c: int) -> tuple[tuple[int, ...], ...]:
@@ -180,7 +190,9 @@ def hook_decompositions(shape: SkewShape, thetas) -> dict[Partition, HookDecompo
     the summand h' on T and h elsewhere, with multiplicity binom(a, leg - |T|):
     the leg-sized subsets of the first n-1 columns lowering exactly T.  They
     come in the order of the first such subset, T plus the leftmost fixed
-    columns; a leg longer than n-1 has no T, so its expansion is empty.
+    columns: a walk over the leg-sized subsets in lexicographic order that
+    keeps only those whose fixed columns are the leftmost ones meets each
+    once, in that order.  A leg longer than n-1 has no T, so its expansion is empty.
     Every theta is checked before any work, and h and h' are computed once
     for all of them.  Requires a shape with at least one row and no empty
     rows; callers must strip empty rows first (see reductions.remove_empty_rows).
@@ -196,21 +208,30 @@ def hook_decompositions(shape: SkewShape, thetas) -> dict[Partition, HookDecompo
         raise ValueError("the hook expansion needs a shape with at least one row")
     # a row and no empty one, so h'(j) >= j and hess_prime cannot raise
     base, prime = hessenberg_from_skew(shape), hess_prime(shape)
-    columns = range(shape.rows - 1)
-    lowerable = tuple(j for j in columns if prime.values[j] != base.values[j])
-    fixed = tuple(j for j in columns if prime.values[j] == base.values[j])
-    a = len(fixed)
+    n, values, low = shape.rows, list(base.values), prime.values
+    fixed = [j for j in range(n - 1) if low[j] == values[j]] + [n]
+    mults = [math.comb(len(fixed) - 1, m) for m in range(len(fixed))]
+
+    def walk(start: int, need: int, m: int) -> None:
+        # Add `need` > 0 columns from `start` on, a fixed one only if it is the next, fixed[m].
+        for j in range(start, n - need):
+            if j == fixed[m]:
+                taken = m + 1
+            elif low[j] != values[j]:
+                values[j], taken = low[j], m
+            else:
+                continue
+            if need > 1:
+                walk(j + 1, need - 1, taken)
+            else:
+                summands.append((HessenbergFunction(tuple(values)), mults[taken]))
+            values[j] = base.values[j]
+
     out = {}
     for theta, k in legs.items():
-        first_subsets = sorted(
-            (sorted(lowered + fixed[: k - t]), lowered)
-            for t in range(max(0, k - a), min(k, len(lowerable)) + 1)
-            for lowered in combinations(lowerable, t)
-        )
-        summands = []
-        for _, lowered in first_subsets:
-            values = tuple(prime.values[j] if j in lowered else v for j, v in enumerate(base.values))
-            summands.append((HessenbergFunction(values), math.comb(a, k - len(lowered))))
+        summands: list[tuple[HessenbergFunction, int]] = [] if k else [(base, 1)]
+        if k:
+            walk(0, k, 0)
         out[theta] = HookDecomposition(theta, shape, base, prime, k, tuple(summands))
     return out
 

@@ -218,6 +218,8 @@ class SkewShape(_Frozen):
 
     @staticmethod
     def from_json(obj: dict) -> "SkewShape":
+        if not isinstance(obj, dict):
+            raise ValueError(f"not an object: {obj!r}")
         rows = obj.get("rows")
         rows = rows if rows is None else _json_ints((rows,))[0]
         return skew_shape(_json_ints(obj["outer"]), _json_ints(obj.get("inner", ())), rows)
@@ -285,18 +287,17 @@ def _strips(outer: Partition, mu: tuple[int, ...], size: int) -> tuple[tuple[int
 
 def _pieri_layers(
     outer: Partition, inner: Partition, contents: Iterable[Partition]
-) -> dict[Partition, dict[tuple[int, ...], int]]:
-    """The last Pieri layer of each distinct content, keyed by content.
+) -> Iterator[tuple[Partition, dict[tuple[int, ...], int]]]:
+    """Each distinct content with its last Pieri layer, in sorted order of the contents.
 
     A layer maps shapes, padded with zeros to len(outer) rows, to the number
     of chains inner = mu_0 < mu_1 < ... < mu_k = mu inside `outer` in which
-    mu_i/mu_{i-1} is a horizontal strip of content[i-1] boxes.  Contents are
-    visited in sorted order, so each starts from the layer of the longest
-    prefix it shares with the one before, and each distinct prefix takes one
-    strip step on its parent's layer.
+    mu_i/mu_{i-1} is a horizontal strip of content[i-1] boxes.  Each content
+    starts from the layer of the longest prefix it shares with the one before,
+    and each distinct prefix takes one strip step on its parent's layer.  The walk
+    drops a layer once past it, so a consumer that keeps none holds one path.
     """
     path = [{inner + (0,) * (len(outer) - len(inner)): 1}]  # path[k]: after k parts
-    last: dict[Partition, dict[tuple[int, ...], int]] = {}
     before: Partition = ()
     for content in sorted(set(contents)):
         shared = 0
@@ -309,9 +310,8 @@ def _pieri_layers(
                 for nu in _strips(outer, mu, size):
                     grown[nu] = grown.get(nu, 0) + ways
             path.append(grown)
-        last[content] = path[-1]
+        yield content, path[-1]
         before = content
-    return last
 
 
 @cache
@@ -324,7 +324,7 @@ def _ssyt_count(outer: Partition, inner: Partition, content: Partition) -> int:
     `outer` in the content's last `_pieri_layers` layer.  `content` is
     assumed normalized (positive, weakly decreasing).
     """
-    return _pieri_layers(outer, inner, (content,))[content].get(outer, 0)
+    return next(_pieri_layers(outer, inner, (content,)))[1].get(outer, 0)
 
 
 def _normalize_content(content: Iterable[int]) -> Partition | None:
@@ -421,13 +421,13 @@ def kostka_matrix(n: int) -> dict[Partition, dict[Partition, int]]:
     """
     parts = partitions_of(n)
     # Column lam is the Pieri layer reached from () by lam's parts; rows of
-    # length n never bind.
-    columns = _pieri_layers((n,) * n, (), parts)
-    pad = {theta: theta + (0,) * (n - len(theta)) for theta in parts}
-    return {
-        theta: {lam: columns[lam].get(pad[theta], 0) for lam in parts}
-        for theta in parts
-    }
+    # length n never bind, and each layer holds only partitions of n.
+    unpad = {theta + (0,) * (n - len(theta)): theta for theta in parts}
+    out = {theta: dict.fromkeys(parts, 0) for theta in parts}
+    for lam, column in _pieri_layers((n,) * n, (), parts):
+        for mu, count in column.items():
+            out[unpad[mu]][lam] = count
+    return out
 
 
 @cache
@@ -467,6 +467,8 @@ def partition_from_key(key: str) -> Partition:
 
 def _by_partition(obj: dict) -> dict:
     """A JSON object's values keyed by `partition_from_key`, refusing two keys for one partition."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"not an object: {obj!r}")
     keys = {}
     for key in obj:
         if (p := partition_from_key(key)) in keys:

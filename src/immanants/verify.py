@@ -11,7 +11,6 @@ import json
 import math
 import random
 from itertools import chain, product
-from operator import sub
 
 from .characters import (
     ClassFunction,
@@ -43,7 +42,6 @@ from .tableaux import (
     SkewShape,
     _Record,
     _normalize_content,
-    _ssyt_count,
     check_partition,
     connected_skew_shapes,
     hook_partition,
@@ -489,19 +487,26 @@ def scan_records(max_n: int, max_size: int):
 def _scan_lines(max_n: int, max_size: int):
     """Per connected shape in bounds, the JSON lines of its scan records.
 
-    What records share is encoded once: a shape's "shape" and "h", and
-    the expansion of each distinct class function, once per call.
+    What records share is encoded once: a shape's "shape" and "h", and per call the
+    expansion of each distinct class function and the hook summands of each distinct
+    (grid clipped at 1, size), which fixes h, h' and the hooks (see `_once_per_grid`).
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
     expanded: dict[tuple, str] = {}
+    summands: dict[tuple, dict] = {}
     for shape in _bounded_connected_shapes(max_n, max_size):
         head = '{"shape":' + encode(shape.to_json()) + ',"theta":['
         middle = ',"h":' + encode(list(hessenberg_from_skew(shape).values)) + ',"identity_kostka":'
-        mu, nu = shape.padded()
-        # The identity's content is the row widths, all positive on a connected shape.
-        widths = tuple(sorted(map(sub, mu, nu), reverse=True))
         gammas = immanant_characters(shape)
-        hooks = hook_decompositions(shape, filter(is_hook, gammas))
+        grid = (_clip(jt_matrix(shape).sub, 1), shape.size)
+        if (hooks := summands.get(grid)) is None:
+            hooks = summands[grid] = {
+                theta: ',"summands":' + encode([{"h": list(h.values), "mult": m} for h, m in d.summands])
+                for theta, d in hook_decompositions(shape, filter(is_hook, gammas)).items()
+            }
+        # The identity is the only permutation of type (1^n) and its content is the
+        # row widths, so gamma_theta(1^n) = zee(1^n) * K(theta, widths) = n! * K(theta, widths).
+        identity, scale = (1,) * shape.rows, math.factorial(shape.rows)
         lines = []
         for theta, gamma in gammas.items():
             key = tuple(gamma.values.items())
@@ -511,9 +516,6 @@ def _scan_lines(max_n: int, max_size: int):
                 eta = expanded[key] = f',"eta_expansion":{encode(dec.to_json())},"h_positive":{positive}'
             line = head + ",".join(map(str, theta)) + (
                 '],"hook":true' if theta in hooks else '],"hook":false'
-            ) + middle + str(_ssyt_count(theta, (), widths)) + eta
-            if theta in hooks:
-                summands = [{"h": list(h.values), "mult": m} for h, m in hooks[theta].summands]
-                line += ',"summands":' + encode(summands)
+            ) + middle + str(gamma.values[identity] // scale) + eta + hooks.get(theta, "")
             lines.append(line + "}")
         yield lines

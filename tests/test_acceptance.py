@@ -22,6 +22,7 @@ from immanants import (
     hook_partition,
     immanant,
     immanant_character,
+    immanant_characters,
     irreducible_character,
     monomial_character,
     sign_character,
@@ -29,7 +30,7 @@ from immanants import (
     stanley_stembridge_character,
     zee,
 )
-from immanants.tableaux import connected_skew_shapes, kostka
+from immanants.tableaux import _strips, connected_skew_shapes, kostka
 from immanants.verify import (
     suite_characters,
     suite_hook,
@@ -230,3 +231,34 @@ def test_criterion_13_gamma_at_theta2_2_on_twelve_rows():
     assert done.returncode == 0, done.stderr
     assert digest == want
     assert elapsed < 1
+
+
+def test_criterion_14_one_pieri_walk_for_every_alpha():
+    # (30, 20, 14) on (8^8) clips nothing off its 5,270 distinct contents,
+    # and every theta of (5^5) asks for 1,958 thetas: one Pieri walk serves them all.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "immanants.cli", "gamma", "--theta", "30,20,14",
+         "--outer", ",".join(["8"] * 8)],
+        capture_output=True, env=env, cwd=root,
+    )
+    elapsed = time.monotonic() - start
+    digest = hashlib.sha256(done.stdout).hexdigest()
+    want = "a4384bcc65f486a1ee9a0acccc82d768e84c95a52a040fa434617f6503d450de"
+    _strips.cache_clear()
+    start = time.monotonic()
+    shape = skew_shape((5,) * 5)
+    gammas = immanant_characters(shape)
+    in_process = time.monotonic() - start
+    every_theta = len(gammas) == 1958 and gammas[(25,)] == stanley_stembridge_character(
+        hessenberg_from_skew(shape))
+    ok = done.returncode == 0 and digest == want and elapsed < 10 and every_theta and in_process < 1
+    report(14, "one-pieri-walk-for-every-alpha", ok, f"{elapsed:.2f}s, (5^5) {in_process:.2f}s")
+    assert done.returncode == 0, done.stderr
+    assert digest == want
+    assert elapsed < 10
+    assert every_theta
+    assert in_process < 1

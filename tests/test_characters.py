@@ -208,6 +208,11 @@ def test_class_function_from_json_refuses_a_key_that_is_not_a_list(key, value):
         ClassFunction.from_json({"n": 1, "values": {key: 1}})
 
 
+def test_class_function_from_json_refuses_values_that_are_not_an_object():
+    with pytest.raises(ValueError, match=r"not an object: \[1\]"):
+        ClassFunction.from_json({"n": 1, "values": [1]})
+
+
 def test_class_function_from_json_refuses_two_keys_for_one_cycle_type():
     values = {"[2,1]": 5, "[2,1,0]": 7, "[3]": 1, "[1,1,1]": 1}
     with pytest.raises(ValueError, match=r"keys '\[2,1\]' and '\[2,1,0\]' name one partition"):

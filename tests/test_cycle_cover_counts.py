@@ -6,7 +6,9 @@ a sweep over columns that grows path fragments into cycles.
 `cycle_cover_walk` counts the same table with one leaf per admissible
 permutation, `subset_dp_counts` with a dynamic program over vertex sets
 that reaches 12-14 rows where the walk cannot; the other oracles
-enumerate `symmetric_group`.
+enumerate `symmetric_group`.  `raw_grid_immanant_characters` and
+`per_alpha_immanant_characters` are the immanant characters before the clip
+and before the one Pieri walk over every content.
 """
 
 import importlib
@@ -43,6 +45,7 @@ from immanants import (
 )
 from immanants.immanant_characters import _clip
 from immanants.jacobitrudi import _multiset, cycle_cover_counts
+from immanants.tableaux import _ssyt_count
 
 CONNECTED = [
     shape
@@ -218,6 +221,28 @@ def raw_grid_immanant_characters(shape, thetas=None):
     return out
 
 
+def per_alpha_immanant_characters(shape, thetas=None):
+    """zee(rho) * sum of N[rho][alpha] * K(theta, alpha), one `_ssyt_count` walk per (theta, alpha).
+
+    The read-out that `immanant_characters` made before one Pieri walk served
+    every alpha: the same grid, clipped at the largest theta_2 asked for, with
+    the boxes clipped off each alpha back on its first part.
+    """
+    thetas = partitions_of(shape.size) if thetas is None else thetas
+    c = max((theta[1] for theta in thetas if len(theta) > 1), default=0)
+    counts = cycle_cover_counts(_clip(jt_matrix(shape).sub, c))
+    n = shape.size
+    classes = []
+    for rho in partitions_of(shape.rows):
+        whole = [((n - sum(a[1:]), *a[1:]) if n else a, m) for a, m in counts.get(rho, {}).items()]
+        classes.append((rho, zee(rho), whole))
+    out = {}
+    for theta in thetas:
+        values = {r: z * sum(m * _ssyt_count(theta, (), a) for a, m in ms) for r, z, ms in classes}
+        out[theta] = ClassFunction(shape.rows, values)
+    return out
+
+
 def by_theta2(thetas):
     """The thetas grouped by theta_2, so each group clips at its own theta_2."""
     groups = {}
@@ -273,6 +298,52 @@ def test_clipped_kernel_matches_the_raw_grid_at_7_rows(case):
     assert immanant_characters(shape, thetas) == want
     for group in by_theta2(thetas):
         assert immanant_characters(shape, group) == {t: want[t] for t in group}
+
+
+def assert_one_walk_matches_the_per_alpha_read_out(shape, thetas):
+    """All thetas at once, and each theta_2 group on its own clip, against the oracle."""
+    want = per_alpha_immanant_characters(shape, thetas)
+    assert immanant_characters(shape, thetas) == want, shape
+    for group in by_theta2(thetas):
+        assert immanant_characters(shape, group) == {t: want[t] for t in group}, (shape, group)
+
+
+def test_one_pieri_walk_matches_the_per_alpha_read_out():
+    for shape in CONNECTED_9:
+        assert_one_walk_matches_the_per_alpha_read_out(shape, partitions_of(shape.size))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seven_row_shapes_and_thetas())
+def test_one_pieri_walk_matches_the_per_alpha_read_out_at_7_rows(case):
+    assert_one_walk_matches_the_per_alpha_read_out(*case)
+
+
+def test_an_outer_one_box_short_in_row_2_fails(monkeypatch):
+    module = importlib.import_module("immanants.immanant_characters")
+    real_walk = module._pieri_layers
+
+    def short(outer, inner, contents):
+        if len(outer) > 1 and outer[1]:
+            outer = (outer[0], outer[1] - 1, *outer[2:])
+        return real_walk(outer, inner, contents)
+
+    monkeypatch.setattr(module, "_pieri_layers", short)
+    shapes = groups = 0
+    for shape in CONNECTED_9:
+        want = per_alpha_immanant_characters(shape)
+        # All thetas at once lose those whose theta_2 is outer's row 2, each
+        # theta_2 > 0 group all of its thetas: a shape or group fails iff one is non-zero.
+        top = max((t[1] for t in want if 1 < len(t) <= shape.rows), default=None)
+        lost = any(any(want[t].values.values()) for t in want if t[1:2] == (top,))
+        assert (immanant_characters(shape) != want) == lost, shape
+        shapes += lost
+        for group in by_theta2(want):
+            if group[0][1:2] > (0,):
+                lost = any(any(want[t].values.values()) for t in group)
+                assert (immanant_characters(shape, group) != {t: want[t] for t in group}) == lost
+                groups += lost
+    assert (shapes, groups) == (722, 2895)
 
 
 @pytest.mark.parametrize("family", ["connected", "padded", "disconnected"])

@@ -168,6 +168,11 @@ def test_symfunc_from_json_refuses_a_key_that_is_not_a_list(key, value):
         SymFunc.from_json({"basis": "h", "degree": 1, "coeffs": {key: 1}})
 
 
+def test_symfunc_from_json_refuses_coeffs_that_are_not_an_object():
+    with pytest.raises(ValueError, match=r"not an object: \[1\]"):
+        SymFunc.from_json({"basis": "h", "degree": 1, "coeffs": [1]})
+
+
 @pytest.mark.parametrize("coeff", [0.1, 2.0, True])
 def test_symfunc_from_json_refuses_float_and_bool_coefficients(coeff):
     blob = {"basis": "h", "degree": 1, "coeffs": {"[1]": 3}}

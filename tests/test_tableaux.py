@@ -457,11 +457,13 @@ def test_pieri_layers_step_each_distinct_prefix_once(monkeypatch):
                 distinct = set(contents)
                 prefixes = {c[:k] for c in distinct for k in range(1, len(c) + 1)}
                 counts["lookups"] = 0
-                got = _pieri_layers(outer, inner, contents)
+                walk = list(_pieri_layers(outer, inner, contents))
                 assert counts["lookups"] == sum(
                     len(per_content_strip_chain(outer, inner, p[:-1])) for p in prefixes
                 ), (outer, inner, contents)
-                assert len(got) == len(distinct) and set(got) == distinct
+                # Each distinct content once, in sorted order.
+                assert [c for c, _ in walk] == sorted(distinct)
+                got = dict(walk)
                 for c in distinct:
                     assert got[c] == per_content_strip_chain(outer, inner, c), (outer, inner, c)
                 checked += 1
@@ -861,6 +863,11 @@ def test_skew_shape_from_json_refuses_float_and_bool_parts(blob):
 def test_skew_shape_from_json_refuses_a_value_that_is_not_a_list(blob, value):
     with pytest.raises(ValueError, match=f"not a list: {value}"):
         SkewShape.from_json(blob)
+
+
+def test_skew_shape_from_json_refuses_a_blob_that_is_not_an_object():
+    with pytest.raises(ValueError, match=r"not an object: \[2, 1\]"):
+        SkewShape.from_json([2, 1])
 
 
 def test_partition_from_key_refuses_float_and_bool_parts():

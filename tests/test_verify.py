@@ -25,6 +25,7 @@ from immanants import (
     hook_partition,
     hooks_of,
     immanant_character,
+    immanant_characters,
     is_dahlberg_small,
     is_hook,
     jt_matrix,
@@ -36,7 +37,7 @@ from immanants import (
 )
 from immanants.immanant_characters import _clip
 from immanants.permutations import conjugacy_classes
-from immanants.tableaux import _normalize_content
+from immanants.tableaux import _normalize_content, _ssyt_count
 from immanants.verify import (
     CheckReport,
     _bounded_connected_shapes,
@@ -343,6 +344,28 @@ def test_scan_identity_kostka_matches_the_public_wrapper():
         assert record["hook"] == is_hook(tuple(record["theta"]))
         records += 1
     assert records > 1000
+
+
+def test_scan_and_immanant_characters_count_no_kostka_chain():
+    # identity_kostka is read off gamma at the identity class, and gamma from one Pieri walk.
+    _ssyt_count.cache_clear()
+    assert len(list(scan_records(4, 7))) > 1000
+    immanant_characters(skew_shape((5, 4, 2, 1), (3, 2)), [(3, 2, 2), (7,)])
+    info = _ssyt_count.cache_info()
+    assert info.hits + info.misses == 0
+
+
+def test_scan_expands_hooks_once_per_clipped_grid_and_size(monkeypatch):
+    real_hook_decompositions = immanants.verify.hook_decompositions
+    keys = []
+
+    def counted(shape, thetas):
+        keys.append((_clip(jt_matrix(shape).sub, 1), shape.size))
+        return real_hook_decompositions(shape, thetas)
+
+    monkeypatch.setattr("immanants.verify.hook_decompositions", counted)
+    shapes = {json.dumps(r["shape"]) for r in scan_records(5, 8)}
+    assert (len(keys), len(set(keys)), len(shapes)) == (76, 76, 387)
 
 
 def assert_each_line_is_its_record(max_n, max_size):
