@@ -173,11 +173,7 @@ def _induced_trivial_character(lam: Partition) -> ClassFunction:
 
 def monomial_character(lam) -> ClassFunction:
     """The dual of the induced trivial basis: row lam of K^-1 times the irreducibles."""
-    return _monomial_character(check_partition(lam))
-
-
-@cache
-def _monomial_character(lam: Partition) -> ClassFunction:
+    lam = check_partition(lam)
     out = zero_character(sum(lam))
     for theta, c in inverse_kostka_matrix(sum(lam))[lam].items():
         if c:
@@ -220,22 +216,11 @@ class HPositiveDecomposition(_Frozen):
     `partitions_of` order (see `h_positive_decomposition`).
 
     Coefficients are ints when the expansion is integral, and Fractions
-    otherwise (an int equals the Fraction of the same value).
+    otherwise (an int equals the Fraction of the same value).  `is_integral`
+    and `is_nonnegative` are bools.
     """
 
     __slots__ = ("n", "coefficients", "is_integral", "is_nonnegative")
-
-    def __init__(
-        self,
-        n: int,
-        coefficients: dict[Partition, int | Fraction],
-        is_integral: bool,
-        is_nonnegative: bool,
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "is_integral", is_integral)
-        object.__setattr__(self, "is_nonnegative", is_nonnegative)
 
     def coefficient(self, lam) -> int | Fraction:
         return self.coefficients[check_partition(lam)]

@@ -136,25 +136,10 @@ def stanley_stembridge_character(h: HessenbergFunction) -> ClassFunction:
 
 
 class HookDecomposition(_Frozen):
-    """Multiset of Hessenberg functions expanding a hook immanant character."""
+    """Multiset of Hessenberg functions expanding a hook immanant character: `summands`
+    holds (HessenbergFunction, int) pairs, and `base` and `prime` are h and h' of `shape`."""
 
     __slots__ = ("theta", "shape", "base", "prime", "leg", "summands")
-
-    def __init__(
-        self,
-        theta: Partition,
-        shape: SkewShape,
-        base: HessenbergFunction,
-        prime: HessenbergFunction,
-        leg: int,
-        summands: tuple[tuple[HessenbergFunction, int], ...],
-    ):
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "leg", leg)
-        object.__setattr__(self, "summands", summands)
 
     @property
     def total_multiplicity(self) -> int:

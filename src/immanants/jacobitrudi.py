@@ -81,13 +81,10 @@ def hess_indicator(h: HessenbergFunction, w: Permutation) -> int:
 
 
 class JTMatrix(_Frozen):
-    """Subscript grid of the Jacobi-Trudi matrix of a skew shape."""
+    """Subscript grid of the Jacobi-Trudi matrix of a skew shape: `n` rows, and `sub` as
+    n tuples of n ints."""
 
     __slots__ = ("n", "sub")
-
-    def __init__(self, n: int, sub: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sub", sub)
 
     def entry(self, i: int, j: int) -> int:
         """Subscript at row i, column j (1-based)."""

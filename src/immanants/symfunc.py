@@ -43,14 +43,10 @@ def _check_degree(n: int) -> None:
 
 
 class SymFunc(_Frozen):
-    """A homogeneous symmetric function in one declared basis."""
+    """A homogeneous symmetric function in one declared basis; `coeffs` maps partitions
+    of `degree` to ints or Fractions."""
 
     __slots__ = ("basis", "degree", "coeffs")
-
-    def __init__(self, basis: str, degree: int, coeffs: dict[Partition, "int | Fraction"]):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
 
     def coefficient(self, lam) -> "int | Fraction":
         return self.coeffs.get(check_partition(lam), 0)

@@ -148,10 +148,32 @@ class _Record:
 class _Frozen(_Record):
     """An immutable record, hashed as the tuple of its fields (as a frozen dataclass).
 
-    Subclasses set their fields in `__init__` with `object.__setattr__`.
+    The constructor takes the fields in `__slots__` order, by position or by
+    name.  A subclass that validates its input keeps its own `__init__` and
+    sets its fields with `object.__setattr__`.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """The fields in slot order, or the TypeError naming the fields that are wrong."""
+        names, head = self.__slots__, f"{self.__class__.__qualname__}()"
+        if len(args) > len(names):
+            raise TypeError(f"{head} takes the fields {names}, got {len(args)} positional values")
+        if twice := [name for name in names[: len(args)] if name in kwargs]:
+            raise TypeError(f"{head} got the fields {twice} both by position and by name")
+        if unknown := sorted(kwargs.keys() - set(names)):
+            raise TypeError(f"{head} has no fields {unknown}; its fields are {names}")
+        if missing := [name for name in names[len(args):] if name not in kwargs]:
+            raise TypeError(f"{head} is missing the fields {missing}")
+        return args + tuple(kwargs[name] for name in names[len(args):])
 
     def __hash__(self) -> int:
         return hash(self._astuple(self))
@@ -168,16 +190,12 @@ class SkewShape(_Frozen):
 
     `rows` may exceed the number of nonempty rows; the extra rows are
     empty and matter for which symmetric group the shape's class
-    functions live on.  Construct through `skew_shape`, which validates
-    containment and normalizes the parts.
+    functions live on.  `outer` and `inner` are partitions and `rows` an int.
+    Construct through `skew_shape`, which validates containment and
+    normalizes the parts.
     """
 
     __slots__ = ("outer", "inner", "rows")
-
-    def __init__(self, outer: Partition, inner: Partition, rows: int):
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:
@@ -243,10 +261,9 @@ def skew_shape(outer: Iterable[int], inner: Iterable[int] = (), rows: int | None
     rows = length if rows is None else _as_ints((rows,))[0]
     if rows < length:
         raise ValueError(f"rows={rows} is less than the last nonempty row {length}")
-    # Rows beyond `rows` are empty by the length check; drop them.
-    mu = check_partition(mu[:rows])
-    nu = check_partition(nu[:rows])
-    return SkewShape(mu, nu, rows)
+    # Rows beyond `rows` are empty by the length check; drop them.  A prefix of
+    # a partition is a partition, so the parts need no second check.
+    return SkewShape(mu[:rows], nu[:rows], rows)
 
 
 @cache
@@ -314,7 +331,6 @@ def _pieri_layers(
         before = content
 
 
-@cache
 def _ssyt_count(outer: Partition, inner: Partition, content: Partition) -> int:
     """Count semistandard fillings of outer/inner with `content` copies of 1..m.
 
@@ -434,26 +450,13 @@ def kostka_matrix(n: int) -> dict[Partition, dict[Partition, int]]:
 def inverse_kostka_matrix(n: int) -> dict[Partition, dict[Partition, int]]:
     """Exact integer inverse of the Kostka matrix by back-substitution."""
     parts = partitions_of(n)
-    km = kostka_matrix(n)
-    idx = {p: i for i, p in enumerate(parts)}
-    size = len(parts)
-    inv = [[0] * size for _ in range(size)]
-    for j in range(size):
-        for i in range(j, -1, -1):
-            if i == j:
-                inv[i][j] = 1
-                continue
-            acc = 0
-            ki = km[parts[i]]
-            for t in range(i + 1, j + 1):
-                kit = ki[parts[t]]
-                if kit:
-                    acc += kit * inv[t][j]
-            inv[i][j] = -acc
-    return {
-        p: {q: inv[idx[p]][idx[q]] for q in parts}
-        for p in parts
-    }
+    km = [list(row.values()) for row in kostka_matrix(n).values()]  # in `parts` order
+    inv = [[int(i == j) for j in range(len(parts))] for i in range(len(parts))]
+    for j in range(len(parts)):
+        for i in range(j - 1, -1, -1):
+            row = km[i]
+            inv[i][j] = -sum(row[t] * inv[t][j] for t in range(i + 1, j + 1) if row[t])
+    return {p: dict(zip(parts, row)) for p, row in zip(parts, inv)}
 
 
 def partition_key(p: Partition) -> str:

@@ -44,7 +44,6 @@ from .tableaux import (
     _normalize_content,
     check_partition,
     connected_skew_shapes,
-    hook_partition,
     hooks_of,
     is_hook,
     kostka,
@@ -172,20 +171,16 @@ def _bounded_connected_shapes(max_n: int, max_size: int):
             yield from connected_skew_shapes(n, size)
 
 
-def _shape_hooks(shape: SkewShape) -> list:
-    """Hooks of the shape's size with leg at most rows - 1, leg 0 first."""
-    return [hook_partition(shape.size, k) for k in range(min(shape.rows, shape.size))]
-
-
 def suite_hook(max_n: int = 5, max_size: int = 9) -> CheckReport:
     """Hook expansion over every connected shape and hook within bounds.
 
     Each distinct (clipped grid, hooks) is checked once; every shape still
     counts as one instance per hook and gets its own failures.
     """
+    shapes = _bounded_connected_shapes(max_n, max_size)
     return _once_per_grid(
         "hook-expansion",
-        ((shape, _shape_hooks(shape)) for shape in _bounded_connected_shapes(max_n, max_size)),
+        ((shape, hooks_of(shape.size)[: shape.rows]) for shape in shapes),
         _hook_failures,
     )
 
@@ -434,9 +429,10 @@ def suite_positivity(max_n: int = 5, max_size: int = 8) -> CheckReport:
         for shape in _bounded_connected_shapes(max_n, max_size)
         if is_dahlberg_small(hessenberg_from_skew(shape))
     )
+    shapes = chain(preabelian_example_shapes(), small)
     return _once_per_grid(
         "hook-positivity",
-        ((shape, _shape_hooks(shape)) for shape in chain(preabelian_example_shapes(), small)),
+        ((shape, hooks_of(shape.size)[: shape.rows]) for shape in shapes),
         _positivity_failures,
     )
 

@@ -214,3 +214,34 @@ def test_records_compare_hash_and_print_as_frozen_dataclasses(record, names, tex
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert tuple(getattr(record, name) for name in names) == fields
+
+
+FROZEN = [(record, names) for record, names, _ in RECORDS if type(record) is not CheckReport]
+
+
+@pytest.mark.parametrize("record, names", FROZEN, ids=[type(r).__name__ for r, _ in FROZEN])
+def test_frozen_records_refuse_a_wrong_field_list(record, names):
+    cls = type(record)
+    fields = tuple(getattr(record, name) for name in names)
+    # Fields may come partly by position, the rest by name.
+    assert cls(*fields[:1], **dict(zip(names[1:], fields[1:]))) == record
+    wrong = [
+        ((fields[:-1], {}), repr(names[-1])),  # a missing field
+        ((fields, {"bogus": 1}), "'bogus'"),  # an unknown keyword
+        ((fields, {names[0]: fields[0]}), repr(names[0])),  # a field given twice
+        ((fields + (None,), {}), "positional"),  # too many positional arguments
+    ]
+    for (args, kwargs), named in wrong:
+        with pytest.raises(TypeError, match=named):
+            cls(*args, **kwargs)
+
+
+def test_validating_records_refuse_bad_values_by_keyword():
+    with pytest.raises(immanants.NotHessenbergError, match="not weakly increasing"):
+        immanants.HessenbergFunction(values=(3, 2, 3))
+    with pytest.raises(immanants.NotHessenbergError, match=r"h\(3\) = 2"):
+        immanants.HessenbergFunction(values=(1, 3, 2))
+    with pytest.raises(ValueError, match=r"missing values for cycle types \[\(1, 1\)\]"):
+        immanants.ClassFunction(n=2, values={(2,): 1})
+    with pytest.raises(ValueError, match="unexpected cycle types"):
+        immanants.ClassFunction(n=1, values={(1,): 1, (2,): 0})

@@ -490,7 +490,7 @@ def test_strips_match_the_definition_exhaustively():
 
 
 def test_strips_are_enumerated_once_per_outer_mu_and_size():
-    caches = (_strips, _ssyt_count, kostka_matrix)
+    caches = (_strips, kostka_matrix)
     try:
         for cached in caches:
             cached.cache_clear()

@@ -37,12 +37,11 @@ from immanants import (
 )
 from immanants.immanant_characters import _clip
 from immanants.permutations import conjugacy_classes
-from immanants.tableaux import _normalize_content, _ssyt_count
+from immanants.tableaux import _normalize_content
 from immanants.verify import (
     CheckReport,
     _bounded_connected_shapes,
     _scan_lines,
-    _shape_hooks,
     preabelian_example_shapes,
     run_suites,
     scan_records,
@@ -118,7 +117,7 @@ def per_shape_suite_hook(max_n, max_size):
     """`suite_hook` with every shape checked on its own."""
     report = CheckReport("hook-expansion")
     for shape in _bounded_connected_shapes(max_n, max_size):
-        report.merge(verify_hook_decompositions(shape, _shape_hooks(shape)))
+        report.merge(verify_hook_decompositions(shape, hooks_of(shape.size)[: shape.rows]))
     return report
 
 
@@ -131,7 +130,7 @@ def per_shape_suite_positivity(max_n, max_size):
         if is_dahlberg_small(hessenberg_from_skew(shape))
     ]
     for shape in targets:
-        gammas = immanants.verify.immanant_characters(shape, _shape_hooks(shape))
+        gammas = immanants.verify.immanant_characters(shape, hooks_of(shape.size)[: shape.rows])
         for theta, gamma in gammas.items():
             report.instances += 1
             dec = h_positive_decomposition(gamma)
@@ -346,13 +345,21 @@ def test_scan_identity_kostka_matches_the_public_wrapper():
     assert records > 1000
 
 
-def test_scan_and_immanant_characters_count_no_kostka_chain():
+def test_scan_and_immanant_characters_count_no_kostka_chain(monkeypatch):
     # identity_kostka is read off gamma at the identity class, and gamma from one Pieri walk.
-    _ssyt_count.cache_clear()
+    real_ssyt_count = immanants.tableaux._ssyt_count
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_ssyt_count(*args)
+
+    monkeypatch.setattr(immanants.tableaux, "_ssyt_count", counted)
     assert len(list(scan_records(4, 7))) > 1000
     immanant_characters(skew_shape((5, 4, 2, 1), (3, 2)), [(3, 2, 2), (7,)])
-    info = _ssyt_count.cache_info()
-    assert info.hits + info.misses == 0
+    assert calls == []
+    # The counter sees the chain that `kostka` does count.
+    assert kostka((2, 1), (1, 1, 1)) == 2 and len(calls) == 1
 
 
 def test_scan_expands_hooks_once_per_clipped_grid_and_size(monkeypatch):
@@ -466,7 +473,7 @@ def test_a_broken_grid_fails_every_shape_that_has_it(monkeypatch, suite, oracle)
     assert len(shapes) == 46  # of 3 to 9 boxes, so five hook lists
     # One failure per hook of each such shape, under its own "shape".
     assert [(f["shape"], f["theta"]) for f in report.failures] == [
-        (shape.to_json(), list(theta)) for shape in shapes for theta in _shape_hooks(shape)
+        (shape.to_json(), list(theta)) for shape in shapes for theta in hooks_of(shape.size)[: shape.rows]
     ]
 
 
@@ -546,7 +553,7 @@ def test_class_level_hook_check_matches_the_per_permutation_oracle(monkeypatch, 
     monkeypatch.setattr("immanants.verify.hook_decompositions", decompose_all)
     failing = 0
     for shape in _bounded_connected_shapes(6, 8):
-        thetas = _shape_hooks(shape)
+        thetas = hooks_of(shape.size)[: shape.rows]
         report = verify_hook_decompositions(shape, thetas)
         oracle = per_permutation_hook_check(shape, thetas, decompose)
         assert report.instances == oracle.instances == len(thetas)
@@ -569,7 +576,7 @@ def test_hook_check_sees_a_class_value_the_oracle_cannot(monkeypatch):
 
     monkeypatch.setattr("immanants.verify.immanant_characters", off_by_one_at_identity)
     for shape in _bounded_connected_shapes(4, 7):
-        thetas = _shape_hooks(shape)
+        thetas = list(hooks_of(shape.size)[: shape.rows])
         report = verify_hook_decompositions(shape, thetas)
         assert per_permutation_hook_check(shape, thetas).ok
         assert [tuple(f["theta"]) for f in report.failures] == thetas
@@ -600,7 +607,7 @@ SEVEN_ROW_SHAPES = [
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(st.sampled_from(SEVEN_ROW_SHAPES))
 def test_hook_check_agrees_with_the_oracle_at_seven_rows(shape):
-    thetas = _shape_hooks(shape)
+    thetas = hooks_of(shape.size)[: shape.rows]
     report = verify_hook_decompositions(shape, thetas)
     oracle = per_permutation_hook_check(shape, thetas)
     assert report.ok and oracle.ok
