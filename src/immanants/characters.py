@@ -19,6 +19,7 @@ from .tableaux import (
     _by_partition,
     _Frozen,
     _json_ints,
+    _json_object,
     check_partition,
     inverse_kostka_matrix,
     partition_key,
@@ -101,6 +102,7 @@ class ClassFunction(_Frozen):
 
     @staticmethod
     def from_json(obj: dict) -> "ClassFunction":
+        _json_object(obj, "n", "values")
         n, values = obj["n"], _by_partition(obj["values"])
         _json_ints((n, *values.values()))
         return ClassFunction(n, values)

@@ -113,28 +113,28 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_hessenberg(args) -> int:
-    from .immanant_characters import is_abelian, is_dahlberg_small, is_preabelian
+    from .immanant_characters import is_abelian, is_dahlberg_small
     from .jacobitrudi import NotHessenbergError, hess_prime, hessenberg_from_skew
 
     shape = _shape_from_args(args)
     h = hessenberg_from_skew(shape)
     try:
-        prime = list(hess_prime(shape).values)
+        prime = hess_prime(shape)
     except NotHessenbergError:
         prime = None
     payload = {
         "shape": shape.to_json(),
         "h": list(h.values),
-        "h_prime": prime,
+        "h_prime": None if prime is None else list(prime.values),
         "abelian": is_abelian(h),
-        "preabelian": is_preabelian(shape) if not shape.has_empty_rows else None,
+        "preabelian": None if shape.has_empty_rows else prime is not None and is_abelian(prime),
         "dahlberg_small": is_dahlberg_small(h),
     }
     if args.format == "json":
         print(_dumps(payload))
     else:
         print(f"h = {tuple(h.values)}")
-        print(f"h' = {'undefined' if prime is None else tuple(prime)}")
+        print(f"h' = {'undefined' if prime is None else prime.values}")
         print(f"abelian={payload['abelian']} preabelian={payload['preabelian']} "
               f"dahlberg_small={payload['dahlberg_small']}")
     return 0

@@ -10,12 +10,15 @@ characters, read off the multiplicity formula: the first n-1 columns are
 a fixed ones (h' = h) and lowerable ones (h' = h - 1, where the bottom
 nonzero entry is the constant 1), and each set T of lowerable columns gives
 the summand h' on T, h elsewhere, with multiplicity binom(a, leg - |T|).
+The sets T come from `itertools.combinations`, one size at a time, and are
+sorted once by their first leg-sized subset of columns.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import combinations
 
 from .characters import ClassFunction, zee
 from .jacobitrudi import (
@@ -146,10 +149,7 @@ class HookDecomposition(_Frozen):
         return sum(m for _, m in self.summands)
 
     def multiplicity(self, h: HessenbergFunction) -> int:
-        for cand, m in self.summands:
-            if cand == h:
-                return m
-        raise KeyError(f"{h} is not a summand")
+        return dict(self.summands)[h]  # each T lowers a different set of columns
 
     def character(self) -> ClassFunction:
         n = self.shape.rows
@@ -173,19 +173,17 @@ def hook_decompositions(shape: SkewShape, thetas) -> dict[Partition, HookDecompo
 
     Each subset T of the lowerable columns with leg - a <= |T| <= leg gives
     the summand h' on T and h elsewhere, with multiplicity binom(a, leg - |T|):
-    the leg-sized subsets of the first n-1 columns lowering exactly T.  They
-    come in the order of the first such subset, T plus the leftmost fixed
-    columns: a walk over the leg-sized subsets in lexicographic order that
-    keeps only those whose fixed columns are the leftmost ones meets each
-    once, in that order.  A leg longer than n-1 has no T, so its expansion is empty.
-    Every theta is checked before any work, and h and h' are computed once
-    for all of them.  Requires a shape with at least one row and no empty
-    rows; callers must strip empty rows first (see reductions.remove_empty_rows).
+    the leg-sized subsets of the first n-1 columns lowering exactly T.  The T
+    of each size come from `combinations`, so the work follows the summands,
+    not the leg-sized subsets, and one sort orders the summands by their first
+    such subset, sorted(T + the leftmost leg - |T| fixed columns).  A leg longer
+    than n-1 has no T, so its expansion is empty.  Every theta is checked before
+    any work, and h and h' are computed once for all of them.  Requires a shape
+    with at least one row and no empty rows; callers must strip empty rows first
+    (see reductions.remove_empty_rows).
     """
-    thetas = [check_partition(theta) for theta in thetas]
-    legs = {}
-    for theta in thetas:
-        legs[theta] = hook_leg(theta)
+    legs = {theta: hook_leg(theta) for theta in map(check_partition, thetas)}
+    for theta in legs:
         check_theta_size(theta, shape)
     if shape.has_empty_rows:
         raise ValueError("shape has empty rows; remove them first (remove_empty_rows)")
@@ -193,31 +191,22 @@ def hook_decompositions(shape: SkewShape, thetas) -> dict[Partition, HookDecompo
         raise ValueError("the hook expansion needs a shape with at least one row")
     # a row and no empty one, so h'(j) >= j and hess_prime cannot raise
     base, prime = hessenberg_from_skew(shape), hess_prime(shape)
-    n, values, low = shape.rows, list(base.values), prime.values
-    fixed = [j for j in range(n - 1) if low[j] == values[j]] + [n]
-    mults = [math.comb(len(fixed) - 1, m) for m in range(len(fixed))]
-
-    def walk(start: int, need: int, m: int) -> None:
-        # Add `need` > 0 columns from `start` on, a fixed one only if it is the next, fixed[m].
-        for j in range(start, n - need):
-            if j == fixed[m]:
-                taken = m + 1
-            elif low[j] != values[j]:
-                values[j], taken = low[j], m
-            else:
-                continue
-            if need > 1:
-                walk(j + 1, need - 1, taken)
-            else:
-                summands.append((HessenbergFunction(tuple(values)), mults[taken]))
-            values[j] = base.values[j]
-
+    high, low = base.values, prime.values
+    fixed = tuple(j for j in range(shape.rows - 1) if low[j] == high[j])
+    lowerable = [j for j in range(shape.rows - 1) if low[j] != high[j]]
+    a = len(fixed)
     out = {}
     for theta, k in legs.items():
-        summands: list[tuple[HessenbergFunction, int]] = [] if k else [(base, 1)]
-        if k:
-            walk(0, k, 0)
-        out[theta] = HookDecomposition(theta, shape, base, prime, k, tuple(summands))
+        terms = sorted(
+            (sorted(T + fixed[: k - t]), T, math.comb(a, k - t))
+            for t in range(max(0, k - a), min(k, len(lowerable)) + 1)
+            for T in combinations(lowerable, t)
+        )
+        summands = tuple(
+            (HessenbergFunction(tuple(low[j] if j in T else v for j, v in enumerate(high))), m)
+            for _, T, m in terms
+        )
+        out[theta] = HookDecomposition(theta, shape, base, prime, k, summands)
     return out
 
 
@@ -234,12 +223,7 @@ def collected_coefficient(decomp: HookDecomposition, h: HessenbergFunction) -> i
 
 def is_abelian(h: HessenbergFunction) -> bool:
     """h(1) = n, or the value at position h(1)+1 is n."""
-    n = h.n
-    if n == 0:
-        return True
-    if h(1) == n:
-        return True
-    return h(h(1) + 1) == n
+    return h.n == 0 or h(1) == h.n or h(h(1) + 1) == h.n
 
 
 def is_preabelian(shape: SkewShape) -> bool:

@@ -19,6 +19,7 @@ from .tableaux import (
     _by_partition,
     _Frozen,
     _json_ints,
+    _json_object,
     _lr_row,
     check_partition,
     inverse_kostka_matrix,
@@ -75,12 +76,16 @@ class SymFunc(_Frozen):
 
     @staticmethod
     def from_json(obj: dict) -> "SymFunc":
+        _json_object(obj, "basis", "degree", "coeffs")
         coeffs = _by_partition(obj["coeffs"])
         for lam, val in coeffs.items():
             # A float (or bool) would enter exact arithmetic as whatever it rounded to.
             if isinstance(val, bool) or not isinstance(val, (int, str)):
                 raise ValueError(f"coefficient is not an int or an exact string: {val!r}")
-            coeffs[lam] = val if isinstance(val, int) else Fraction(val)
+            try:
+                coeffs[lam] = val if isinstance(val, int) else Fraction(val)
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient has a zero denominator: {val!r}") from None
         return sym_func(obj["basis"], _json_ints((obj["degree"],))[0], coeffs)
 
     def __str__(self) -> str:
@@ -96,6 +101,8 @@ def sym_func(basis: str, degree: int, coeffs: dict) -> SymFunc:
     """Normalize an expansion: validate indices, drop zeros, demote 1-denominators."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
     clean: dict[Partition, "int | Fraction"] = {}
     for lam, c in coeffs.items():
         lam = check_partition(lam)

@@ -40,6 +40,15 @@ def _json_ints(values: list | tuple) -> tuple:
     return values
 
 
+def _json_object(obj, *fields: str) -> dict:
+    """The JSON object obj, refusing a value that is not an object or lacks one of `fields`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"not an object: {obj!r}")
+    if missing := [field for field in fields if field not in obj]:
+        raise ValueError(f"missing fields {missing}")
+    return obj
+
+
 def check_partition(parts: Iterable[int]) -> Partition:
     """Validate a weakly decreasing sequence and strip trailing zeros."""
     p = _as_ints(parts)
@@ -236,8 +245,7 @@ class SkewShape(_Frozen):
 
     @staticmethod
     def from_json(obj: dict) -> "SkewShape":
-        if not isinstance(obj, dict):
-            raise ValueError(f"not an object: {obj!r}")
+        _json_object(obj, "outer")
         rows = obj.get("rows")
         rows = rows if rows is None else _json_ints((rows,))[0]
         return skew_shape(_json_ints(obj["outer"]), _json_ints(obj.get("inner", ())), rows)
@@ -470,10 +478,8 @@ def partition_from_key(key: str) -> Partition:
 
 def _by_partition(obj: dict) -> dict:
     """A JSON object's values keyed by `partition_from_key`, refusing two keys for one partition."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"not an object: {obj!r}")
     keys = {}
-    for key in obj:
+    for key in _json_object(obj):
         if (p := partition_from_key(key)) in keys:
             raise ValueError(f"keys {keys[p]!r} and {key!r} name one partition {list(p)}")
         keys[p] = key

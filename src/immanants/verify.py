@@ -497,7 +497,7 @@ def _scan_lines(max_n: int, max_size: int):
         grid = (_clip(jt_matrix(shape).sub, 1), shape.size)
         if (hooks := summands.get(grid)) is None:
             hooks = summands[grid] = {
-                theta: ',"summands":' + encode([{"h": list(h.values), "mult": m} for h, m in d.summands])
+                theta: ',"summands":' + encode(d.to_json()["summands"])
                 for theta, d in hook_decompositions(shape, filter(is_hook, gammas)).items()
             }
         # The identity is the only permutation of type (1^n) and its content is the

@@ -207,6 +207,15 @@ def test_class_function_from_json_refuses_a_key_that_is_not_a_list(key, value):
 def test_class_function_from_json_refuses_values_that_are_not_an_object():
     with pytest.raises(ValueError, match=r"not an object: \[1\]"):
         ClassFunction.from_json({"n": 1, "values": [1]})
+    with pytest.raises(ValueError, match="not an object: 5"):
+        ClassFunction.from_json(5)
+
+
+def test_class_function_from_json_refuses_a_missing_field():
+    with pytest.raises(ValueError, match=r"missing fields \['values'\]"):
+        ClassFunction.from_json({"n": 1})
+    with pytest.raises(ValueError, match=r"missing fields \['n', 'values'\]"):
+        ClassFunction.from_json({})
 
 
 def test_class_function_from_json_refuses_two_keys_for_one_cycle_type():

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -244,6 +245,18 @@ def test_hook_decomposition_oversized_leg_is_empty_and_zero():
     assert (dec.theta, dec.leg, dec.base) == ((1, 1, 1, 1), 3, hessenberg_from_skew(shape))
     zero = immanant_character((1, 1, 1, 1), shape)
     assert all(v == 0 for v in zero.values.values())
+
+
+def test_hook_decomposition_work_follows_the_summands_not_the_leg_sized_subsets():
+    # (30^30) has no lowerable column, so leg 14 has one summand: h, with multiplicity
+    # binom(29, 14).  A filter over the leg-sized subsets of the first 29 columns would
+    # walk all 77,558,760 of them.
+    start = time.perf_counter()
+    dec = hook_decompositions(skew_shape((30,) * 30), [hook_partition(900, 14)])
+    elapsed = time.perf_counter() - start
+    (only,) = dec.values()
+    assert [m for _, m in only.summands] == [math.comb(29, 14)] == [77_558_760]
+    assert elapsed < 1, elapsed
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,20 @@ def test_symfunc_from_json_refuses_a_key_that_is_not_a_list(key, value):
 def test_symfunc_from_json_refuses_coeffs_that_are_not_an_object():
     with pytest.raises(ValueError, match=r"not an object: \[1\]"):
         SymFunc.from_json({"basis": "h", "degree": 1, "coeffs": [1]})
+    with pytest.raises(ValueError, match=r"not an object: \[1\]"):
+        SymFunc.from_json([1])
+
+
+def test_symfunc_from_json_refuses_a_missing_field():
+    with pytest.raises(ValueError, match=r"missing fields \['degree'\]"):
+        SymFunc.from_json({"basis": "h", "coeffs": {"[1]": 1}})
+
+
+def test_symfunc_from_json_refuses_a_zero_denominator_and_a_negative_degree():
+    with pytest.raises(ValueError, match="coefficient has a zero denominator: '1/0'"):
+        SymFunc.from_json({"basis": "h", "degree": 1, "coeffs": {"[1]": "1/0"}})
+    with pytest.raises(ValueError, match="degree -1 is negative"):
+        SymFunc.from_json({"basis": "h", "degree": -1, "coeffs": {}})
 
 
 @pytest.mark.parametrize("coeff", [0.1, 2.0, True])

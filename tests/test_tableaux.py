@@ -868,6 +868,8 @@ def test_skew_shape_from_json_refuses_a_value_that_is_not_a_list(blob, value):
 def test_skew_shape_from_json_refuses_a_blob_that_is_not_an_object():
     with pytest.raises(ValueError, match=r"not an object: \[2, 1\]"):
         SkewShape.from_json([2, 1])
+    with pytest.raises(ValueError, match=r"missing fields \['outer'\]"):
+        SkewShape.from_json({"inner": [1]})
 
 
 def test_partition_from_key_refuses_float_and_bool_parts():
