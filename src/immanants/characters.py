@@ -2,9 +2,9 @@
 
 A virtual character is represented by its values on cycle types.  Three
 bases of the space of virtual characters are provided: the irreducible
-characters (computed by the Murnaghan-Nakayama recursion), the induced
-trivial characters (induction products of trivial characters), and the
-monomial virtual characters (the exact inverse Kostka matrix times the
+characters (Murnaghan-Nakayama on beta-sets), the induced trivial
+characters (induction products of trivial characters), and the monomial
+virtual characters (the exact inverse Kostka matrix times the
 irreducibles); the last two are built apart, so their duality checks K^-1.
 """
 
@@ -120,42 +120,31 @@ def sign_character(n: int) -> ClassFunction:
     return ClassFunction(n, {rho: (-1) ** (n - len(rho)) for rho in partitions_of(n)})
 
 
-def _beta_numbers(shape: Partition) -> tuple[int, ...]:
-    ell = len(shape)
-    return tuple(shape[i] + ell - 1 - i for i in range(ell))
-
-
-def _shape_from_betas(betas: list[int]) -> Partition:
-    betas = sorted(betas, reverse=True)
-    ell = len(betas)
-    parts = tuple(b - (ell - 1 - i) for i, b in enumerate(betas))
-    return check_partition(parts)
-
-
 @cache
-def _mn_value(shape: Partition, rho: Partition) -> int:
-    """Murnaghan-Nakayama: alternating sum over border-strip removals."""
+def _mn_value(beads: frozenset[int], rho: Partition) -> int:
+    """Murnaghan-Nakayama on the beta-set of a shape, its beads lam_i + l - i (none at 0):
+    removing a border strip of length r moves a bead b to a free position b - r, with
+    sign (-1) to the number of beads strictly between.  A bead at 0 is an empty last
+    row; each is dropped and the others shifted down, so each shape has one beta-set."""
     if not rho:
-        return 1 if not shape else 0
-    strip, rest = rho[0], rho[1:]
-    betas = _beta_numbers(shape)
-    beta_set = set(betas)
+        return int(not beads)
     total = 0
-    for b in betas:
-        nb = b - strip
-        if nb < 0 or nb in beta_set:
+    for b in beads:
+        c = b - rho[0]
+        if c < 0 or c in beads:
             continue
-        height = sum(1 for c in betas if nb < c < b)
-        new_shape = _shape_from_betas([nb if c == b else c for c in betas])
-        term = _mn_value(new_shape, rest)
-        total += -term if height % 2 else term
+        moved = beads - {b} | {c}
+        while 0 in moved:
+            moved = frozenset(x - 1 for x in moved if x)
+        term = _mn_value(moved, rho[1:])
+        total += -term if sum(c < x < b for x in beads) % 2 else term
     return total
 
 
 def irreducible_character(lam) -> ClassFunction:
     lam = check_partition(lam)
-    n = sum(lam)
-    return ClassFunction(n, {rho: _mn_value(lam, rho) for rho in partitions_of(n)})
+    n, beads = sum(lam), frozenset(part + len(lam) - i for i, part in enumerate(lam, 1))
+    return ClassFunction(n, {rho: _mn_value(beads, rho) for rho in partitions_of(n)})
 
 
 def character_table(n: int) -> dict[Partition, ClassFunction]:

@@ -245,7 +245,8 @@ class SkewShape(_Frozen):
 
     @staticmethod
     def from_json(obj: dict) -> "SkewShape":
-        _json_object(obj, "outer")
+        if unknown := _json_object(obj, "outer").keys() - {"outer", "inner", "rows"}:
+            raise ValueError(f"unknown fields {sorted(unknown, key=str)}")
         rows = obj.get("rows")
         rows = rows if rows is None else _json_ints((rows,))[0]
         return skew_shape(_json_ints(obj["outer"]), _json_ints(obj.get("inner", ())), rows)

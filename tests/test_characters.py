@@ -31,7 +31,7 @@ from immanants import (
     zero_character,
 )
 from immanants import tableaux
-from immanants.characters import HPositiveDecomposition, _induced_trivial_character
+from immanants.characters import HPositiveDecomposition, _induced_trivial_character, _mn_value
 from immanants.immanant_characters import immanant_characters
 from immanants.symfunc import convert, frobenius, frobenius_inverse, homogeneous, multiply, sym_func
 from immanants.verify import (
@@ -85,6 +85,38 @@ def kostka_eta_oracle(lam):
     for theta in partitions_of(n):
         out = out + km[theta][lam] * irreducible_character(theta)
     return out
+
+
+def _beta_numbers(shape):
+    ell = len(shape)
+    return tuple(shape[i] + ell - 1 - i for i in range(ell))
+
+
+def _shape_from_betas(betas):
+    betas = sorted(betas, reverse=True)
+    ell = len(betas)
+    parts = tuple(b - (ell - 1 - i) for i, b in enumerate(betas))
+    return tableaux.check_partition(parts)
+
+
+@cache
+def mn_by_shapes_oracle(shape, rho):
+    """Murnaghan-Nakayama on partitions: each border-strip removal is read off the
+    beta-numbers of the shape and turned back into a shape before the next step."""
+    if not rho:
+        return 1 if not shape else 0
+    strip, rest = rho[0], rho[1:]
+    betas = _beta_numbers(shape)
+    beta_set = set(betas)
+    total = 0
+    for b in betas:
+        nb = b - strip
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for c in betas if nb < c < b)
+        term = mn_by_shapes_oracle(_shape_from_betas([nb if c == b else c for c in betas]), rest)
+        total += -term if height % 2 else term
+    return total
 
 
 @cache
@@ -252,6 +284,32 @@ def test_dimension_is_standard_tableau_count():
     for n in range(1, 8):
         for lam in partitions_of(n):
             assert irreducible_character(lam).values[(1,) * n] == syt_count(lam)
+
+
+def assert_irreducible_matches_the_shape_oracle(lam):
+    want = {rho: mn_by_shapes_oracle(lam, rho) for rho in partitions_of(sum(lam))}
+    assert irreducible_character(lam).values == want
+
+
+def test_irreducibles_match_the_shape_oracle_exhaustively():
+    for n in range(11):
+        for lam in partitions_of(n):
+            assert_irreducible_matches_the_shape_oracle(lam)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(11, 14).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+def test_irreducibles_match_the_shape_oracle_beyond(lam):
+    assert_irreducible_matches_the_shape_oracle(lam)
+
+
+def test_each_shape_has_one_beta_set_in_the_cache():
+    # A bead moved to 0 is an empty last row and is trimmed, so the cache keeps one
+    # entry per (shape, cycle type) reached.  Untrimmed, one shape would be keyed by
+    # beta-sets of several lengths, and the cache would hold 10,902.
+    _mn_value.cache_clear()
+    character_table(12)
+    assert _mn_value.cache_info().currsize == 7332
 
 
 def test_orthonormality():

@@ -842,6 +842,16 @@ def test_skew_shape_json_roundtrip():
     assert SkewShape.from_json(json.loads(blob)) == s
 
 
+@pytest.mark.parametrize("blob, fields", [
+    ({"outer": [2], "row": 3}, r"\['row'\]"),
+    ({"outer": [2], "inner": [], "rows": 1, "Inner": [1], "extra": 0}, r"\['Inner', 'extra'\]"),
+])
+def test_skew_shape_from_json_refuses_an_unknown_field(blob, fields):
+    # A misspelt optional field would otherwise load as its default: "row": 3 as one row.
+    with pytest.raises(ValueError, match=f"unknown fields {fields}"):
+        SkewShape.from_json(blob)
+
+
 @pytest.mark.parametrize("blob", [
     {"outer": [2.0, True], "rows": 2.0},
     {"outer": [2.0, 1]},
