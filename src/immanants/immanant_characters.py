@@ -202,11 +202,13 @@ def hook_decompositions(shape: SkewShape, thetas) -> dict[Partition, HookDecompo
             for t in range(max(0, k - a), min(k, len(lowerable)) + 1)
             for T in combinations(lowerable, t)
         )
-        summands = tuple(
-            (HessenbergFunction(tuple(low[j] if j in T else v for j, v in enumerate(high))), m)
-            for _, T, m in terms
-        )
-        out[theta] = HookDecomposition(theta, shape, base, prime, k, summands)
+        summands = []
+        for _, T, m in terms:
+            values = list(high)
+            for j in T:
+                values[j] = low[j]
+            summands.append((HessenbergFunction(tuple(values)), m))
+        out[theta] = HookDecomposition(theta, shape, base, prime, k, tuple(summands))
     return out
 
 

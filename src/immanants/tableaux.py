@@ -491,11 +491,13 @@ def connected_skew_shapes(rows: int, size: int) -> Iterator[SkewShape]:
     """Connected skew shapes with exactly `rows` nonempty rows and `size` boxes.
 
     Shapes are produced in canonical position (last row starts in column 1),
-    so each connected skew diagram appears exactly once.
+    so each connected skew diagram appears exactly once.  They are valid by
+    construction, so they are built without `skew_shape`'s checks; inner ends
+    in the last row's 0, and its zeros are cut off as `skew_shape` would.
     """
     if rows == 0:
         if size == 0:
-            yield skew_shape((), (), 0)
+            yield SkewShape((), (), 0)
         return
     if size < rows:
         return
@@ -505,7 +507,8 @@ def connected_skew_shapes(rows: int, size: int) -> Iterator[SkewShape]:
         # Rows are chosen bottom-up; i counts rows still to place.
         if i == 0:
             if budget == 0:
-                yield skew_shape(tuple(reversed(mu_acc)), tuple(reversed(nu_acc)), rows)
+                nu = tuple(reversed(nu_acc))
+                yield SkewShape(tuple(reversed(mu_acc)), nu[: nu.index(0)], rows)
             return
         lo_nu = nu_below
         hi_nu = mu_below - 1 if mu_below else 0  # overlap with the row below

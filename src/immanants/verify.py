@@ -483,35 +483,54 @@ def scan_records(max_n: int, max_size: int):
 def _scan_lines(max_n: int, max_size: int):
     """Per connected shape in bounds, the JSON lines of its scan records.
 
-    What records share is encoded once: a shape's "shape" and "h", and per call the
-    expansion of each distinct class function and the hook summands of each distinct
-    (grid clipped at 1, size), which fixes h, h' and the hooks (see `_once_per_grid`).
+    What records share is encoded once.  Per shape: its "shape" and "h".  Per call:
+    the expansion of each distinct class function.  Per (rows, size) block: each
+    theta's text and hook flag, the hook summands of each distinct grid clipped at 1,
+    which fixes h, h' and the hooks (see `_once_per_grid`), and each theta's identity
+    Kostka number and expansion once per grid G clipped at size // 2 up to a half
+    turn.  That clip is what `immanant_characters` counts on for every theta.
+    Turning a shape 180 degrees anti-transposes G (G'[i][j] = G[n-1-j][n-1-i]), and
+    w -> r w^-1 r, r the reversal, maps the cycle covers of G onto those of G' with
+    the same cycle type and subscripts, so min(G, G') fixes every gamma_theta: 221
+    `immanant_characters` calls for the 387 shapes at (5, 8).  The block memos hold
+    for one rows and size only (one-row grids of any size clip alike), so each is
+    dropped with its block.
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
     expanded: dict[tuple, str] = {}
-    summands: dict[tuple, dict] = {}
-    for shape in _bounded_connected_shapes(max_n, max_size):
-        head = '{"shape":' + encode(shape.to_json()) + ',"theta":['
-        middle = ',"h":' + encode(list(hessenberg_from_skew(shape).values)) + ',"identity_kostka":'
-        gammas = immanant_characters(shape)
-        grid = (_clip(jt_matrix(shape).sub, 1), shape.size)
-        if (hooks := summands.get(grid)) is None:
-            hooks = summands[grid] = {
-                theta: ',"summands":' + encode(d.to_json()["summands"])
-                for theta, d in hook_decompositions(shape, filter(is_hook, gammas)).items()
-            }
+    for rows in range(1, max_n + 1):
         # The identity is the only permutation of type (1^n) and its content is the
         # row widths, so gamma_theta(1^n) = zee(1^n) * K(theta, widths) = n! * K(theta, widths).
-        identity, scale = (1,) * shape.rows, math.factorial(shape.rows)
-        lines = []
-        for theta, gamma in gammas.items():
-            key = tuple(gamma.values.items())
-            if (eta := expanded.get(key)) is None:
-                dec = h_positive_decomposition(gamma)
-                positive = "true" if dec.is_integral and dec.is_nonnegative else "false"
-                eta = expanded[key] = f',"eta_expansion":{encode(dec.to_json())},"h_positive":{positive}'
-            line = head + ",".join(map(str, theta)) + (
-                '],"hook":true' if theta in hooks else '],"hook":false'
-            ) + middle + str(gamma.values[identity] // scale) + eta + hooks.get(theta, "")
-            lines.append(line + "}")
-        yield lines
+        identity, scale = (1,) * rows, math.factorial(rows)
+        for size in range(rows, max_size + 1):
+            thetas = partitions_of(size)  # the order of immanant_characters(shape)
+            texts = [
+                ",".join(map(str, theta)) + ('],"hook":true' if is_hook(theta) else '],"hook":false')
+                for theta in thetas
+            ]
+            hook_thetas = list(filter(is_hook, thetas))
+            summands: dict[tuple, dict] = {}
+            shared: dict[tuple, list] = {}
+            for shape in connected_skew_shapes(rows, size):
+                head = '{"shape":' + encode(shape.to_json()) + ',"theta":['
+                middle = ',"h":' + encode(list(hessenberg_from_skew(shape).values)) + ',"identity_kostka":'
+                sub = jt_matrix(shape).sub
+                if (hooks := summands.get(grid := _clip(sub, 1))) is None:
+                    hooks = summands[grid] = {
+                        theta: ',"summands":' + encode(d.to_json()["summands"])
+                        for theta, d in hook_decompositions(shape, hook_thetas).items()
+                    }
+                grid = _clip(sub, size // 2)
+                if (tails := shared.get(key := min(grid, tuple(zip(*grid[::-1]))[::-1]))) is None:
+                    tails = shared[key] = []
+                    for gamma in immanant_characters(shape).values():
+                        if (eta := expanded.get(values := tuple(gamma.values.items()))) is None:
+                            dec = h_positive_decomposition(gamma)
+                            positive = "true" if dec.is_integral and dec.is_nonnegative else "false"
+                            eta = expanded[values] = f',"eta_expansion":{encode(dec.to_json())},"h_positive":{positive}'
+                        # eta stays apart: a key holds the `expanded` string, not a copy.
+                        tails.append((str(gamma.values[identity] // scale), eta))
+                yield [
+                    head + text + middle + k + eta + hooks.get(theta, "") + "}"
+                    for theta, text, (k, eta) in zip(thetas, texts, tails)
+                ]

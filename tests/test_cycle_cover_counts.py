@@ -370,8 +370,8 @@ def test_clip_counts_as_the_grid_clipped_at_c(c):
 
 
 @st.composite
-def square_grids(draw):
-    n = draw(st.integers(0, 7))
+def square_grids(draw, max_n=7):
+    n = draw(st.integers(0, max_n))
     entry = st.sampled_from((-1, 0, 1, 2, 3))
     return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
 
@@ -382,6 +382,50 @@ def test_cycle_cover_counts_match_the_walk_on_any_support(sub):
     # Not only Hessenberg supports: stanley_stembridge_character's 0/-1
     # grids and clipped grids reach the kernel too.
     assert cycle_cover_counts(sub) == cycle_cover_walk(sub)
+
+
+def antitranspose(sub):
+    """sub'[i][j] = sub[n-1-j][n-1-i]: the grid of the shape turned 180 degrees."""
+    n = len(sub)
+    return tuple(tuple(sub[n - 1 - j][n - 1 - i] for j in range(n)) for i in range(n))
+
+
+def half_turn(shape):
+    """The skew diagram turned 180 degrees inside its first row's width."""
+    mu, nu = shape.padded()
+    width = mu[0]
+    return skew_shape([width - x for x in reversed(nu)], [width - x for x in reversed(mu)], shape.rows)
+
+
+def test_a_half_turn_antitransposes_the_grid_and_keeps_the_counts():
+    # w -> r w^-1 r (r the reversal) maps the cycle covers of a grid onto those
+    # of its anti-transpose with the same cycle type and subscripts.
+    grids = symmetric = 0
+    for shape in CONNECTED_9:
+        sub, turned = jt_matrix(shape).sub, jt_matrix(half_turn(shape)).sub
+        assert turned == antitranspose(sub), shape
+        for c in range(shape.size // 2 + 1):
+            grid = _clip(sub, c)
+            assert _clip(turned, c) == antitranspose(grid)
+            assert cycle_cover_counts(grid) == cycle_cover_counts(antitranspose(grid)), (shape, c)
+            grids += 1
+            symmetric += grid == antitranspose(grid)
+    assert 0 < symmetric < grids  # both kinds of grid occur
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(square_grids(max_n=6))
+def test_cycle_cover_counts_are_invariant_under_antitransposition(sub):
+    assert cycle_cover_counts(sub) == cycle_cover_counts(antitranspose(sub))
+
+
+def test_a_half_turn_keeps_the_immanant_characters():
+    turned = 0
+    for shape in CONNECTED_9:
+        other = half_turn(shape)
+        assert immanant_characters(shape) == immanant_characters(other), shape
+        turned += jt_matrix(other).sub != jt_matrix(shape).sub
+    assert turned == 740  # the other 71 of the 811 shapes are their own half turn
 
 
 @pytest.mark.parametrize(

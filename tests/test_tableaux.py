@@ -918,6 +918,19 @@ def test_connected_shapes_small_counts():
     assert [s.outer for s in connected_skew_shapes(1, 4)] == [(4,)]
 
 
+def test_connected_shapes_are_built_as_skew_shape_builds_them():
+    # They skip `skew_shape`'s checks, so compare with what it would build:
+    # equal fields, tuples of ints, and no trailing zero in inner.
+    count = 0
+    for n in range(7):
+        for size in range(11):
+            shapes = list(connected_skew_shapes(n, size))
+            rebuilt = [skew_shape(list(s.outer), list(s.inner) + [0], s.rows) for s in shapes]
+            assert list(map(repr, shapes)) == list(map(repr, rebuilt)) and shapes == rebuilt
+            count += len(shapes)
+    assert count == 2036  # the empty shape and 2,035 others
+
+
 def test_connected_shapes_are_valid_and_unique():
     seen = set()
     for n in range(1, 5):

@@ -375,6 +375,21 @@ def test_scan_expands_hooks_once_per_clipped_grid_and_size(monkeypatch):
     assert (len(keys), len(set(keys)), len(shapes)) == (76, 76, 387)
 
 
+@pytest.mark.parametrize("bounds, calls", [((5, 8), 221), ((4, 7), 91)])
+def test_scan_counts_gamma_once_per_clipped_grid_up_to_a_half_turn(monkeypatch, bounds, calls):
+    real_immanant_characters = immanants.verify.immanant_characters
+    shapes = []
+
+    def counted(shape, thetas=None):
+        shapes.append(shape)
+        return real_immanant_characters(shape, thetas)
+
+    monkeypatch.setattr("immanants.verify.immanant_characters", counted)
+    records = list(scan_records(*bounds))
+    # Keyed by the clipped grid alone, with no half turn, (5, 8) makes 381 calls.
+    assert len(shapes) == calls < len({json.dumps(r["shape"]) for r in records})
+
+
 def assert_each_line_is_its_record(max_n, max_size):
     lines = list(chain.from_iterable(_scan_lines(max_n, max_size)))
     records = list(scan_records(max_n, max_size))
