@@ -63,12 +63,37 @@ def check_theta_size(theta: Partition, shape: SkewShape) -> None:
 
 
 def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassFunction]:
-    """Class function of the shape at each theta (default: every partition of its size).
+    """Class function of the shape at each theta (default: every partition of its size): the
+    thetas checked, then `_grid_characters` on the grid clipped at the largest theta_2 asked."""
+    if thetas is None:
+        thetas = partitions_of(shape.size)
+    else:
+        thetas = [check_partition(theta) for theta in thetas]
+        for theta in thetas:
+            check_theta_size(theta, shape)
+    c = max((theta[1] for theta in thetas if len(theta) > 1), default=0)
+    return _grid_characters(_clip(shape, c), shape.size, thetas)
+
+
+def _clip(shape: SkewShape, c: int) -> tuple[tuple[int, ...], ...]:
+    """The shape's Jacobi-Trudi grid with each negative subscript -1 (no edge) and the rest
+    capped at c: fewer start names in `cycle_cover_counts`, and shapes share a grid."""
+    return tuple(tuple([-1 if x < 0 else x if x < c else c for x in row]) for row in jt_matrix(shape).sub)
+
+
+def _up_to_half_turn(grid) -> tuple[tuple[int, ...], ...]:
+    """min(G, G'), G'[i][j] = G[n-1-j][n-1-i] the grid turned 180 degrees: w -> r w^-1 r, r the
+    reversal, maps the cycle covers of G onto those of G' with equal types and subscripts, so equal gammas."""
+    return min(grid, tuple(zip(*grid[::-1]))[::-1])
+
+
+def _grid_characters(grid, size: int, thetas) -> dict[Partition, ClassFunction]:
+    """gamma_theta at each theta of `size` from a grid clipped (`_clip`) at c >= every theta_2.
 
     zee(rho) * sum of N[rho][alpha] * K(theta, alpha), with N from one
     `cycle_cover_counts` call shared by every theta (the content of w is the
-    subscript multiset along w^-1) on the grid clipped at c, the largest
-    theta_2 asked for; the boxes clipped off alpha go back on its first part.
+    subscript multiset along w^-1) on that grid; the boxes clipped off alpha
+    go back on its first part.
     K is kept by the lemma: if alpha_i > theta_2, then K(theta, alpha) =
     K(theta - e_1, alpha - e_i).  In an SSYT of shape theta the i's outside
     row 1 lie in distinct columns left of row 1's i-block, which starts at
@@ -84,19 +109,12 @@ def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassF
     entrywise maximum gives every K(mu, alpha) as alpha's last layer, mu -> K(mu, alpha);
     each layer is folded into the asked thetas' rows as it comes, and dropped.
     """
-    if thetas is None:
-        thetas = partitions_of(shape.size)
-    else:
-        thetas = [check_partition(theta) for theta in thetas]
-        for theta in thetas:
-            check_theta_size(theta, shape)
-    c = max((theta[1] for theta in thetas if len(theta) > 1), default=0)
-    counts = cycle_cover_counts(_clip(jt_matrix(shape).sub, c))
-    n, rows, classes = shape.size, shape.rows, partitions_of(shape.rows)
+    counts = cycle_cover_counts(grid)
+    rows, classes = len(grid), partitions_of(len(grid))
     weights: dict[Partition, list[tuple[int, int]]] = {}  # alpha: (class index, zee * N)
     for i, rho in enumerate(classes):
         for a, m in counts.get(rho, {}).items():
-            weights.setdefault((n - sum(a[1:]), *a[1:]) if n else a, []).append((i, zee(rho) * m))
+            weights.setdefault((size - sum(a[1:]), *a[1:]) if size else a, []).append((i, zee(rho) * m))
     width = max((len(theta) for theta in thetas if len(theta) <= rows), default=0)
     padded = {theta: theta + (0,) * (width - len(theta)) for theta in thetas if len(theta) <= rows}
     acc = {mu: [0] * len(classes) for mu in padded.values()}
@@ -108,12 +126,6 @@ def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassF
     zero = ClassFunction(rows, dict.fromkeys(classes, 0))
     by_mu = {mu: ClassFunction(rows, dict(zip(classes, row))) for mu, row in acc.items()}
     return {theta: by_mu[padded[theta]] if theta in padded else zero for theta in thetas}
-
-
-def _clip(sub, c: int) -> tuple[tuple[int, ...], ...]:
-    """The grid with each negative subscript -1 (no edge) and the rest capped at c: fewer
-    start names in `cycle_cover_counts`, and shapes share a grid (one check in `verify`)."""
-    return tuple(tuple([-1 if x < 0 else x if x < c else c for x in row]) for row in sub)
 
 
 def immanant_character(theta, shape: SkewShape) -> ClassFunction:

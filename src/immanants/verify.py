@@ -24,13 +24,15 @@ from .characters import (
 )
 from .immanant_characters import (
     _clip,
+    _grid_characters,
+    _up_to_half_turn,
     hook_decompositions,
     immanant_character,
     immanant_characters,
     is_dahlberg_small,
     stanley_stembridge_character,
 )
-from .jacobitrudi import hessenberg_from_skew, immanant, jt_matrix
+from .jacobitrudi import hessenberg_from_skew, immanant
 from .reductions import (
     components,
     immanant_character_from_components,
@@ -86,8 +88,8 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
     total binom(n - 1, leg) (Vandermonde's identity, so this checks how the
     summands were made), and the theorem holds as a class-function identity.
     Its two sides come from different grids: gamma_theta from one
-    `immanant_characters` call on the Jacobi-Trudi grid clipped at
-    theta_2 <= 1, and sum mult * SS(h) from each summand's own 0/-1 pattern.
+    `_grid_characters` call on the Jacobi-Trudi grid clipped at 1 >= theta_2,
+    and sum mult * SS(h) from each summand's own 0/-1 pattern.
 
     The identity needs no check permutation by permutation.  Subscript
     (i, n) is mu_i - nu_n - i + n, at least the width of row n, so on a
@@ -106,30 +108,30 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
 def _once_per_grid(name: str, pairs, failures_of) -> CheckReport:
     """Check each (shape, thetas) pair by failures_of, once per distinct clipped grid and thetas.
 
-    The Jacobi-Trudi grid clipped at 1 (`_clip`) fixes gamma_theta at every
-    hook theta, and h and h' too: h(j) is the last row whose clipped entry
-    is at least 0, h'(j) the last whose entry is 1.  So shapes with equal
-    keys have equal checks up to the "shape" in their failures.  Every
-    theta of every shape still counts as one instance, and each shape gets
-    its key's failures under its own "shape", in the order of the pairs.
+    The Jacobi-Trudi grid clipped at 1 (`_clip`), which failures_of gets as its third
+    argument, fixes gamma_theta at every hook theta, and h and h' too: h(j) is the last
+    row whose clipped entry is at least 0, h'(j) the last whose entry is 1.  So shapes
+    with equal keys have equal checks up to the "shape" in their failures.  Every theta
+    of every shape still counts as one instance, and each shape gets its key's
+    failures under its own "shape", in the order of the pairs.
     """
     report = CheckReport(name)
     checked: dict[tuple, list[dict]] = {}
     for shape, thetas in pairs:
         if not thetas:
             continue
-        key = (_clip(jt_matrix(shape).sub, 1), tuple(thetas))
+        key = (grid := _clip(shape, 1), tuple(thetas))
         if key not in checked:
-            checked[key] = failures_of(shape, thetas)
+            checked[key] = failures_of(shape, thetas, grid)
         report.instances += len(thetas)
         report.failures += [{**failure, "shape": shape.to_json()} for failure in checked[key]]
     return report
 
 
-def _hook_failures(shape: SkewShape, thetas: list) -> list[dict]:
+def _hook_failures(shape: SkewShape, thetas: list, grid) -> list[dict]:
     """The failures of the hook check of one shape; bad input is refused before any count."""
     decomps = hook_decompositions(shape, thetas)
-    gammas = immanant_characters(shape, thetas)
+    gammas = _grid_characters(grid, shape.size, thetas)
     failures = []
     n = shape.rows
     for theta in thetas:
@@ -437,10 +439,10 @@ def suite_positivity(max_n: int = 5, max_size: int = 8) -> CheckReport:
     )
 
 
-def _positivity_failures(shape: SkewShape, thetas: list) -> list[dict]:
+def _positivity_failures(shape: SkewShape, thetas: list, grid) -> list[dict]:
     """The hook thetas at which the shape's character is not a non-negative sum of eta's."""
     failures = []
-    for theta, gamma in immanant_characters(shape, thetas).items():
+    for theta, gamma in _grid_characters(grid, shape.size, thetas).items():
         dec = h_positive_decomposition(gamma)
         if not (dec.is_integral and dec.is_nonnegative):
             failures.append(
@@ -487,14 +489,10 @@ def _scan_lines(max_n: int, max_size: int):
     the expansion of each distinct class function.  Per (rows, size) block: each
     theta's text and hook flag, the hook summands of each distinct grid clipped at 1,
     which fixes h, h' and the hooks (see `_once_per_grid`), and each theta's identity
-    Kostka number and expansion once per grid G clipped at size // 2 up to a half
-    turn.  That clip is what `immanant_characters` counts on for every theta.
-    Turning a shape 180 degrees anti-transposes G (G'[i][j] = G[n-1-j][n-1-i]), and
-    w -> r w^-1 r, r the reversal, maps the cycle covers of G onto those of G' with
-    the same cycle type and subscripts, so min(G, G') fixes every gamma_theta: 221
-    `immanant_characters` calls for the 387 shapes at (5, 8).  The block memos hold
-    for one rows and size only (one-row grids of any size clip alike), so each is
-    dropped with its block.
+    Kostka number and expansion once per grid clipped at size // 2 >= every theta_2,
+    up to a half turn (`_up_to_half_turn`): 221 `_grid_characters` calls for the 387
+    shapes at (5, 8).  The block memos hold for one rows and size only (one-row grids
+    of any size clip alike), so each is dropped with its block.
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
     expanded: dict[tuple, str] = {}
@@ -503,7 +501,7 @@ def _scan_lines(max_n: int, max_size: int):
         # row widths, so gamma_theta(1^n) = zee(1^n) * K(theta, widths) = n! * K(theta, widths).
         identity, scale = (1,) * rows, math.factorial(rows)
         for size in range(rows, max_size + 1):
-            thetas = partitions_of(size)  # the order of immanant_characters(shape)
+            thetas = partitions_of(size)
             texts = [
                 ",".join(map(str, theta)) + ('],"hook":true' if is_hook(theta) else '],"hook":false')
                 for theta in thetas
@@ -514,16 +512,14 @@ def _scan_lines(max_n: int, max_size: int):
             for shape in connected_skew_shapes(rows, size):
                 head = '{"shape":' + encode(shape.to_json()) + ',"theta":['
                 middle = ',"h":' + encode(list(hessenberg_from_skew(shape).values)) + ',"identity_kostka":'
-                sub = jt_matrix(shape).sub
-                if (hooks := summands.get(grid := _clip(sub, 1))) is None:
+                if (hooks := summands.get(grid := _clip(shape, 1))) is None:
                     hooks = summands[grid] = {
                         theta: ',"summands":' + encode(d.to_json()["summands"])
                         for theta, d in hook_decompositions(shape, hook_thetas).items()
                     }
-                grid = _clip(sub, size // 2)
-                if (tails := shared.get(key := min(grid, tuple(zip(*grid[::-1]))[::-1]))) is None:
+                if (tails := shared.get(key := _up_to_half_turn(grid := _clip(shape, size // 2)))) is None:
                     tails = shared[key] = []
-                    for gamma in immanant_characters(shape).values():
+                    for gamma in _grid_characters(grid, size, thetas).values():
                         if (eta := expanded.get(values := tuple(gamma.values.items()))) is None:
                             dec = h_positive_decomposition(gamma)
                             positive = "true" if dec.is_integral and dec.is_nonnegative else "false"

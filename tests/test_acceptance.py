@@ -211,19 +211,20 @@ def test_criterion_12_positivity_families():
     assert sweep.ok, sweep.failures[:3]
 
 
-def test_criterion_13_gamma_at_theta2_2_on_twelve_rows():
-    # (140, 2, 2) on (12^12): the grid clipped at theta_2 = 2 merges the
-    # contents, so the CLI answers in well under a second.
+def timed_cli(*argv):
+    """Run the CLI on this checkout's src in a subprocess: (completed process, wall seconds)."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     start = time.monotonic()
-    done = subprocess.run(
-        [sys.executable, "-m", "immanants.cli", "gamma", "--theta", "140,2,2",
-         "--outer", ",".join(["12"] * 12)],
-        capture_output=True, env=env, cwd=root,
-    )
-    elapsed = time.monotonic() - start
+    done = subprocess.run([sys.executable, "-m", "immanants.cli", *argv], capture_output=True, env=env, cwd=root)
+    return done, time.monotonic() - start
+
+
+def test_criterion_13_gamma_at_theta2_2_on_twelve_rows():
+    # (140, 2, 2) on (12^12): the grid clipped at theta_2 = 2 merges the
+    # contents, so the CLI answers in well under a second.
+    done, elapsed = timed_cli("gamma", "--theta", "140,2,2", "--outer", ",".join(["12"] * 12))
     digest = hashlib.sha256(done.stdout).hexdigest()
     want = "45a2e45abbc4dc568c9d295f3dddac0e9ba130c601fca86c2ca01a679e9d648f"
     ok = done.returncode == 0 and digest == want and elapsed < 1
@@ -236,16 +237,7 @@ def test_criterion_13_gamma_at_theta2_2_on_twelve_rows():
 def test_criterion_14_one_pieri_walk_for_every_alpha():
     # (30, 20, 14) on (8^8) clips nothing off its 5,270 distinct contents,
     # and every theta of (5^5) asks for 1,958 thetas: one Pieri walk serves them all.
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    start = time.monotonic()
-    done = subprocess.run(
-        [sys.executable, "-m", "immanants.cli", "gamma", "--theta", "30,20,14",
-         "--outer", ",".join(["8"] * 8)],
-        capture_output=True, env=env, cwd=root,
-    )
-    elapsed = time.monotonic() - start
+    done, elapsed = timed_cli("gamma", "--theta", "30,20,14", "--outer", ",".join(["8"] * 8))
     digest = hashlib.sha256(done.stdout).hexdigest()
     want = "a4384bcc65f486a1ee9a0acccc82d768e84c95a52a040fa434617f6503d450de"
     _strips.cache_clear()
@@ -262,3 +254,16 @@ def test_criterion_14_one_pieri_walk_for_every_alpha():
     assert elapsed < 10
     assert every_theta
     assert in_process < 1
+
+
+def test_criterion_15_scan_digest_where_half_turns_merge_many_shapes():
+    # At (7, 11) `scan` counts gamma once per clipped grid up to a half turn, on
+    # grids that many shapes share; its bytes are pinned here.
+    done, elapsed = timed_cli("scan", "--max-n", "7", "--max-size", "11")
+    digest = hashlib.sha256(done.stdout).hexdigest()
+    want = "422361de27d2863123797bcbb74f0f221dac91ba91cd2edc084628b855018cf1"
+    ok = done.returncode == 0 and digest == want and elapsed < 20
+    report(15, "scan-digest-at-7-rows-11-boxes", ok, f"{elapsed:.2f}s")
+    assert done.returncode == 0, done.stderr
+    assert digest == want
+    assert elapsed < 20

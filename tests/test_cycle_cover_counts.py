@@ -43,7 +43,7 @@ from immanants import (
     symmetric_group,
     zee,
 )
-from immanants.immanant_characters import _clip
+from immanants.immanant_characters import _clip, _grid_characters, _up_to_half_turn
 from immanants.jacobitrudi import _multiset, cycle_cover_counts
 from immanants.tableaux import _ssyt_count
 
@@ -230,7 +230,7 @@ def per_alpha_immanant_characters(shape, thetas=None):
     """
     thetas = partitions_of(shape.size) if thetas is None else thetas
     c = max((theta[1] for theta in thetas if len(theta) > 1), default=0)
-    counts = cycle_cover_counts(_clip(jt_matrix(shape).sub, c))
+    counts = cycle_cover_counts(_clip(shape, c))
     n = shape.size
     classes = []
     for rho in partitions_of(shape.rows):
@@ -267,7 +267,7 @@ def test_clipped_kernel_matches_the_raw_grid(raw_grid_gammas):
 def test_a_clip_one_below_theta2_fails(monkeypatch, raw_grid_gammas):
     module = importlib.import_module("immanants.immanant_characters")
     real_clip = module._clip
-    monkeypatch.setattr(module, "_clip", lambda sub, c: real_clip(sub, c - 1))
+    monkeypatch.setattr(module, "_clip", lambda shape, c: real_clip(shape, c - 1))
     broken = [shape for shape, want in raw_grid_gammas.items() if immanant_characters(shape) != want]
     assert (len(broken), len(raw_grid_gammas)) == (446, 811)
     # Clipped at its own theta_2 - 1, some group of every shape goes wrong.
@@ -362,7 +362,7 @@ def test_clip_counts_as_the_grid_clipped_at_c(c):
     grids = set()
     for shape in CONNECTED_9:
         sub = jt_matrix(shape).sub
-        grid = _clip(sub, c)
+        grid = _clip(shape, c)
         assert cycle_cover_counts(grid) == cycle_cover_counts(clipped(sub, c)), shape
         grids.add(grid)
     if c == 1:
@@ -405,8 +405,8 @@ def test_a_half_turn_antitransposes_the_grid_and_keeps_the_counts():
         sub, turned = jt_matrix(shape).sub, jt_matrix(half_turn(shape)).sub
         assert turned == antitranspose(sub), shape
         for c in range(shape.size // 2 + 1):
-            grid = _clip(sub, c)
-            assert _clip(turned, c) == antitranspose(grid)
+            grid = _clip(shape, c)
+            assert _clip(half_turn(shape), c) == antitranspose(grid)
             assert cycle_cover_counts(grid) == cycle_cover_counts(antitranspose(grid)), (shape, c)
             grids += 1
             symmetric += grid == antitranspose(grid)
@@ -426,6 +426,21 @@ def test_a_half_turn_keeps_the_immanant_characters():
         assert immanant_characters(shape) == immanant_characters(other), shape
         turned += jt_matrix(other).sub != jt_matrix(shape).sub
     assert turned == 740  # the other 71 of the 811 shapes are their own half turn
+
+
+def test_the_grid_kernel_needs_no_shape():
+    # The anti-transpose stands for a grid that this shape never builds: the
+    # kernel gets only the clipped grid and the size.  Clipped at size // 2,
+    # a grid serves every theta; clipped at 1, every hook.
+    for shape in CONNECTED_9:
+        want = immanant_characters(shape)
+        grid = _clip(shape, shape.size // 2)
+        assert _up_to_half_turn(grid) == min(grid, antitranspose(grid))
+        for turned in (grid, antitranspose(grid)):
+            assert _grid_characters(turned, shape.size, list(want)) == want, shape
+        hooks = hooks_of(shape.size)
+        got = _grid_characters(_clip(shape, 1), shape.size, hooks)
+        assert got == {theta: want[theta] for theta in hooks}, shape
 
 
 @pytest.mark.parametrize(

@@ -130,7 +130,7 @@ def per_shape_suite_positivity(max_n, max_size):
         if is_dahlberg_small(hessenberg_from_skew(shape))
     ]
     for shape in targets:
-        gammas = immanants.verify.immanant_characters(shape, hooks_of(shape.size)[: shape.rows])
+        gammas = immanant_characters(shape, hooks_of(shape.size)[: shape.rows])
         for theta, gamma in gammas.items():
             report.instances += 1
             dec = h_positive_decomposition(gamma)
@@ -163,6 +163,12 @@ GROUPED_SUITES = [
     (suite_hook, per_shape_suite_hook),
     (suite_positivity, per_shape_suite_positivity),
 ]
+
+
+def off_by_one_at_identity(gamma):
+    """gamma with its value at the identity class one higher."""
+    identity = (1,) * gamma.n
+    return ClassFunction(gamma.n, {**gamma.values, identity: gamma.values[identity] + 1})
 
 
 def with_summands(decomp, summands):
@@ -367,7 +373,7 @@ def test_scan_expands_hooks_once_per_clipped_grid_and_size(monkeypatch):
     keys = []
 
     def counted(shape, thetas):
-        keys.append((_clip(jt_matrix(shape).sub, 1), shape.size))
+        keys.append((_clip(shape, 1), shape.size))
         return real_hook_decompositions(shape, thetas)
 
     monkeypatch.setattr("immanants.verify.hook_decompositions", counted)
@@ -377,17 +383,17 @@ def test_scan_expands_hooks_once_per_clipped_grid_and_size(monkeypatch):
 
 @pytest.mark.parametrize("bounds, calls", [((5, 8), 221), ((4, 7), 91)])
 def test_scan_counts_gamma_once_per_clipped_grid_up_to_a_half_turn(monkeypatch, bounds, calls):
-    real_immanant_characters = immanants.verify.immanant_characters
-    shapes = []
+    real_grid_characters = immanants.verify._grid_characters
+    grids = []
 
-    def counted(shape, thetas=None):
-        shapes.append(shape)
-        return real_immanant_characters(shape, thetas)
+    def counted(grid, size, thetas):
+        grids.append(grid)
+        return real_grid_characters(grid, size, thetas)
 
-    monkeypatch.setattr("immanants.verify.immanant_characters", counted)
+    monkeypatch.setattr("immanants.verify._grid_characters", counted)
     records = list(scan_records(*bounds))
     # Keyed by the clipped grid alone, with no half turn, (5, 8) makes 381 calls.
-    assert len(shapes) == calls < len({json.dumps(r["shape"]) for r in records})
+    assert len(grids) == calls < len({json.dumps(r["shape"]) for r in records})
 
 
 def assert_each_line_is_its_record(max_n, max_size):
@@ -464,27 +470,23 @@ def test_grouped_suites_match_the_per_shape_loops(suite, oracle):
 
 @pytest.mark.parametrize("suite, oracle", GROUPED_SUITES, ids=lambda f: f.__name__)
 def test_a_broken_grid_fails_every_shape_that_has_it(monkeypatch, suite, oracle):
-    broken = _clip(jt_matrix(skew_shape((3, 3, 1), (1,))).sub, 1)
-    real_immanant_characters = immanants.verify.immanant_characters
+    broken = _clip(skew_shape((3, 3, 1), (1,)), 1)
+    module = sys.modules["immanants.immanant_characters"]  # the package binds the function
+    real_grid_characters = module._grid_characters
 
-    def off_by_one_on_the_broken_grid(shape, thetas):
-        gammas = real_immanant_characters(shape, thetas)
-        if _clip(jt_matrix(shape).sub, 1) != broken:
+    def off_by_one_on_the_broken_grid(grid, size, thetas):
+        gammas = real_grid_characters(grid, size, thetas)
+        if grid != broken:
             return gammas
-        identity = (1,) * shape.rows
-        return {
-            theta: ClassFunction(shape.rows, {**g.values, identity: g.values[identity] + 1})
-            for theta, g in gammas.items()
-        }
+        return {theta: off_by_one_at_identity(g) for theta, g in gammas.items()}
 
-    monkeypatch.setattr("immanants.verify.immanant_characters", off_by_one_on_the_broken_grid)
+    # The suite reaches the kernel through verify, and the per-shape oracle
+    # through `immanant_characters`: both must see the broken grid.
+    monkeypatch.setattr("immanants.verify._grid_characters", off_by_one_on_the_broken_grid)
+    monkeypatch.setattr(module, "_grid_characters", off_by_one_on_the_broken_grid)
     report, want = suite(5, 9), oracle(5, 9)
     assert report.to_json() == want.to_json()
-    shapes = [
-        shape
-        for shape in _bounded_connected_shapes(5, 9)
-        if _clip(jt_matrix(shape).sub, 1) == broken
-    ]
+    shapes = [shape for shape in _bounded_connected_shapes(5, 9) if _clip(shape, 1) == broken]
     assert len(shapes) == 46  # of 3 to 9 boxes, so five hook lists
     # One failure per hook of each such shape, under its own "shape".
     assert [(f["shape"], f["theta"]) for f in report.failures] == [
@@ -531,18 +533,15 @@ def test_kostka_suite_counts_each_distinct_class_once(monkeypatch):
 
 
 def test_hook_suite_counts_covers_once_per_distinct_key(monkeypatch):
-    module = sys.modules["immanants.immanant_characters"]  # the package binds the function
-    real_clip = module._clip
+    real_grid_characters = immanants.verify._grid_characters
     grids = []
 
-    def counted(sub, c):
-        # Only immanant_characters clips in this module: a summand's 0/-1
-        # pattern reaches cycle_cover_counts unclipped, and verify keys by
-        # its own binding of _clip.
-        grids.append(real_clip(sub, c))
-        return grids[-1]
+    def counted(grid, size, thetas):
+        # A summand's 0/-1 pattern reaches cycle_cover_counts without this kernel.
+        grids.append(grid)
+        return real_grid_characters(grid, size, thetas)
 
-    monkeypatch.setattr(module, "_clip", counted)
+    monkeypatch.setattr("immanants.verify._grid_characters", counted)
     assert suite_hook(5, 9).instances == 3109
     # 811 shapes, 113 distinct (grid, h, h', hooks), 37 distinct grids.
     assert len(grids) == 113 and len(set(grids)) == 37
@@ -579,17 +578,13 @@ def test_class_level_hook_check_matches_the_per_permutation_oracle(monkeypatch, 
 
 
 def test_hook_check_sees_a_class_value_the_oracle_cannot(monkeypatch):
-    real_immanant_characters = immanants.verify.immanant_characters
+    real_grid_characters = immanants.verify._grid_characters
 
-    def off_by_one_at_identity(shape, thetas):
-        gammas = real_immanant_characters(shape, thetas)
-        identity = (1,) * shape.rows
-        return {
-            theta: ClassFunction(shape.rows, {**g.values, identity: g.values[identity] + 1})
-            for theta, g in gammas.items()
-        }
+    def off_by_one_everywhere(grid, size, thetas):
+        gammas = real_grid_characters(grid, size, thetas)
+        return {theta: off_by_one_at_identity(g) for theta, g in gammas.items()}
 
-    monkeypatch.setattr("immanants.verify.immanant_characters", off_by_one_at_identity)
+    monkeypatch.setattr("immanants.verify._grid_characters", off_by_one_everywhere)
     for shape in _bounded_connected_shapes(4, 7):
         thetas = list(hooks_of(shape.size)[: shape.rows])
         report = verify_hook_decompositions(shape, thetas)
