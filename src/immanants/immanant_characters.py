@@ -27,7 +27,6 @@ from .jacobitrudi import (
     cycle_cover_counts,
     hess_prime,
     hessenberg_from_skew,
-    jt_matrix,
 )
 from .permutations import Permutation
 from .tableaux import (
@@ -77,8 +76,13 @@ def immanant_characters(shape: SkewShape, thetas=None) -> dict[Partition, ClassF
 
 def _clip(shape: SkewShape, c: int) -> tuple[tuple[int, ...], ...]:
     """The shape's Jacobi-Trudi grid with each negative subscript -1 (no edge) and the rest
-    capped at c: fewer start names in `cycle_cover_counts`, and shapes share a grid."""
-    return tuple(tuple([-1 if x < 0 else x if x < c else c for x in row]) for row in jt_matrix(shape).sub)
+    capped at c: fewer start names in `cycle_cover_counts`, and shapes share a grid.  The
+    subscript (i, j) is read off the beta-numbers as (mu_i - i) - (nu_j - j)."""
+    mu, nu = shape.padded()
+    ends = [v - j for j, v in enumerate(nu)]
+    return tuple(
+        tuple([-1 if (x := m - i - e) < 0 else x if x < c else c for e in ends]) for i, m in enumerate(mu)
+    )
 
 
 def _up_to_half_turn(grid) -> tuple[tuple[int, ...], ...]:

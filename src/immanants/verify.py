@@ -102,41 +102,19 @@ def verify_hook_decompositions(shape: SkewShape, thetas) -> CheckReport:
     check is the class-function identity, which compares two kernels.
     """
     thetas = [check_partition(theta) for theta in thetas]
-    return _once_per_grid("hook-expansion", [(shape, thetas)], _hook_failures)
-
-
-def _once_per_grid(name: str, pairs, failures_of) -> CheckReport:
-    """Check each (shape, thetas) pair by failures_of, once per distinct clipped grid and thetas.
-
-    The Jacobi-Trudi grid clipped at 1 (`_clip`), which failures_of gets as its third
-    argument, fixes gamma_theta at every hook theta, and h and h' too: h(j) is the last
-    row whose clipped entry is at least 0, h'(j) the last whose entry is 1.  So shapes
-    with equal keys have equal checks up to the "shape" in their failures.  Every theta
-    of every shape still counts as one instance, and each shape gets its key's
-    failures under its own "shape", in the order of the pairs.
-    """
-    report = CheckReport(name)
-    checked: dict[tuple, list[dict]] = {}
-    for shape, thetas in pairs:
-        if not thetas:
-            continue
-        key = (grid := _clip(shape, 1), tuple(thetas))
-        if key not in checked:
-            checked[key] = failures_of(shape, thetas, grid)
-        report.instances += len(thetas)
-        report.failures += [{**failure, "shape": shape.to_json()} for failure in checked[key]]
+    report = CheckReport("hook-expansion", len(thetas))
+    if thetas:
+        decomps = hook_decompositions(shape, thetas)  # bad input is refused before any count
+        report.failures = _hook_failures(decomps, _grid_characters(_clip(shape, 1), shape.size, thetas))
     return report
 
 
-def _hook_failures(shape: SkewShape, thetas: list, grid) -> list[dict]:
-    """The failures of the hook check of one shape; bad input is refused before any count."""
-    decomps = hook_decompositions(shape, thetas)
-    gammas = _grid_characters(grid, shape.size, thetas)
+def _hook_failures(decomps: dict, gammas: dict) -> list[dict]:
+    """The failures of the hook check at each theta of decomps, with gammas of the same shape."""
     failures = []
-    n = shape.rows
-    for theta in thetas:
-        decomp = decomps[theta]
-        where = {"shape": shape.to_json(), "theta": list(theta)}
+    for theta, decomp in decomps.items():
+        n = decomp.shape.rows
+        where = {"shape": decomp.shape.to_json(), "theta": list(theta)}
         k = decomp.leg
         base = decomp.base.values
         # Sandwich invariant: every summand sits between h-1 and h pointwise.
@@ -174,17 +152,45 @@ def _bounded_connected_shapes(max_n: int, max_size: int):
 
 
 def suite_hook(max_n: int = 5, max_size: int = 9) -> CheckReport:
-    """Hook expansion over every connected shape and hook within bounds.
+    """Hook expansion over every connected shape and hook within bounds, checked once per
+    distinct (clipped grid, hooks): the hook half of `_grid_suites`."""
+    return _grid_suites(max_n, max_size, ["hook"])["hook"]
 
-    Each distinct (clipped grid, hooks) is checked once; every shape still
-    counts as one instance per hook and gets its own failures.
+
+def _grid_suites(max_n: int, max_size: int, names) -> dict[str, CheckReport]:
+    """The "hook" and "positivity" suites among names, in one pass over their shapes.
+
+    The hook suite takes every bounded connected shape; the positivity suite takes the
+    pre-abelian examples, then the bounded shapes of small excess.  A shape's key, its
+    Jacobi-Trudi grid clipped at 1 (`_clip`) and its hooks, fixes gamma_theta at every hook,
+    and h and h' too: h(j) is the last row whose clipped entry is at least 0, h'(j) the last
+    whose entry is 1.  So per key the small-excess filter reads h once, one
+    `_grid_characters` call feeds both checks, and only their failures are kept.  Every
+    theta of every shape still counts as one instance, and each shape gets its key's
+    failures under its own "shape", in the order of its suite.
     """
-    shapes = _bounded_connected_shapes(max_n, max_size)
-    return _once_per_grid(
-        "hook-expansion",
-        ((shape, hooks_of(shape.size)[: shape.rows]) for shape in shapes),
-        _hook_failures,
-    )
+    hook, positivity = "hook" in names, "positivity" in names
+    hook_report, positivity_report = CheckReport("hook-expansion"), CheckReport("hook-positivity")
+    examples = preabelian_example_shapes() if positivity else []
+    bounded = _bounded_connected_shapes(max_n, max_size)
+    checked: dict[tuple, tuple] = {}
+    for example, shape in chain(((True, s) for s in examples), ((False, s) for s in bounded)):
+        thetas = hooks_of(shape.size)[: shape.rows]
+        if (key := (grid := _clip(shape, 1), tuple(thetas))) not in checked:
+            small = positivity and is_dahlberg_small(hessenberg_from_skew(shape))
+            decomps = hook_decompositions(shape, thetas) if hook else {}
+            gammas = _grid_characters(grid, shape.size, thetas) if hook or small or example else {}
+            not_positive = _positivity_failures(shape, gammas) if small or example else []
+            checked[key] = small, _hook_failures(decomps, gammas), not_positive
+        small, hook_failures, not_positive = checked[key]
+        for report, counted, failures in (
+            (hook_report, hook and not example, hook_failures),
+            (positivity_report, small or example, not_positive),
+        ):
+            if counted:
+                report.instances += len(thetas)
+                report.failures += [{**failure, "shape": shape.to_json()} for failure in failures]
+    return {"hook": hook_report, "positivity": positivity_report}
 
 
 def _agree(name: str, context: dict, gammas: dict, other) -> CheckReport:
@@ -421,28 +427,15 @@ def preabelian_example_shapes() -> list[SkewShape]:
 
 
 def suite_positivity(max_n: int = 5, max_size: int = 8) -> CheckReport:
-    """Induced-trivial positivity on the pre-abelian and small-excess families.
-
-    Each distinct (clipped grid, hooks) is checked once; every shape still
-    counts as one instance per hook and gets its own failures.
-    """
-    small = (
-        shape
-        for shape in _bounded_connected_shapes(max_n, max_size)
-        if is_dahlberg_small(hessenberg_from_skew(shape))
-    )
-    shapes = chain(preabelian_example_shapes(), small)
-    return _once_per_grid(
-        "hook-positivity",
-        ((shape, hooks_of(shape.size)[: shape.rows]) for shape in shapes),
-        _positivity_failures,
-    )
+    """Induced-trivial positivity on the pre-abelian and small-excess families, checked once
+    per distinct (clipped grid, hooks): the positivity half of `_grid_suites`."""
+    return _grid_suites(max_n, max_size, ["positivity"])["positivity"]
 
 
-def _positivity_failures(shape: SkewShape, thetas: list, grid) -> list[dict]:
-    """The hook thetas at which the shape's character is not a non-negative sum of eta's."""
+def _positivity_failures(shape: SkewShape, gammas: dict) -> list[dict]:
+    """The thetas of gammas at which the shape's character is not a non-negative sum of eta's."""
     failures = []
-    for theta, gamma in _grid_characters(grid, shape.size, thetas).items():
+    for theta, gamma in gammas.items():
         dec = h_positive_decomposition(gamma)
         if not (dec.is_integral and dec.is_nonnegative):
             failures.append(
@@ -467,7 +460,9 @@ def run_suites(names, max_n: int, max_size: int) -> list[CheckReport]:
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; choose from {sorted(SUITES)} or 'all'")
-    return [SUITES[name](max_n, max_size) for name in names]
+    # Both suites asked: one pass, one kernel call per key for the two.
+    shared = _grid_suites(max_n, max_size, names) if {"hook", "positivity"} <= set(names) else {}
+    return [shared[name] if name in shared else SUITES[name](max_n, max_size) for name in names]
 
 
 def scan_records(max_n: int, max_size: int):
@@ -488,11 +483,11 @@ def _scan_lines(max_n: int, max_size: int):
     What records share is encoded once.  Per shape: its "shape" and "h".  Per call:
     the expansion of each distinct class function.  Per (rows, size) block: each
     theta's text and hook flag, the hook summands of each distinct grid clipped at 1,
-    which fixes h, h' and the hooks (see `_once_per_grid`), and each theta's identity
-    Kostka number and expansion once per grid clipped at size // 2 >= every theta_2,
-    up to a half turn (`_up_to_half_turn`): 221 `_grid_characters` calls for the 387
-    shapes at (5, 8).  The block memos hold for one rows and size only (one-row grids
-    of any size clip alike), so each is dropped with its block.
+    which fixes h, h' and the hooks (see `_grid_suites`), and each theta's identity
+    Kostka number and expansion once per grid clipped at max(1, size // 2) >= every
+    theta_2, up to a half turn (`_up_to_half_turn`): 221 `_grid_characters` calls for
+    the 387 shapes at (5, 8).  The block memos hold for one rows and size only
+    (one-row grids of any size clip alike), so each is dropped with its block.
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
     expanded: dict[tuple, str] = {}
@@ -512,12 +507,15 @@ def _scan_lines(max_n: int, max_size: int):
             for shape in connected_skew_shapes(rows, size):
                 head = '{"shape":' + encode(shape.to_json()) + ',"theta":['
                 middle = ',"h":' + encode(list(hessenberg_from_skew(shape).values)) + ',"identity_kostka":'
-                if (hooks := summands.get(grid := _clip(shape, 1))) is None:
-                    hooks = summands[grid] = {
+                # One subscript pass: the clip at 1 is read off the clip at c = max(1, size // 2).
+                grid = _clip(shape, size // 2 or 1)
+                ones = tuple(tuple([x if x < 1 else 1 for x in row]) for row in grid)
+                if (hooks := summands.get(ones)) is None:
+                    hooks = summands[ones] = {
                         theta: ',"summands":' + encode(d.to_json()["summands"])
                         for theta, d in hook_decompositions(shape, hook_thetas).items()
                     }
-                if (tails := shared.get(key := _up_to_half_turn(grid := _clip(shape, size // 2)))) is None:
+                if (tails := shared.get(key := _up_to_half_turn(grid))) is None:
                     tails = shared[key] = []
                     for gamma in _grid_characters(grid, size, thetas).values():
                         if (eta := expanded.get(values := tuple(gamma.values.items()))) is None:

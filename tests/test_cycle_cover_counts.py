@@ -8,7 +8,8 @@ permutation, `subset_dp_counts` with a dynamic program over vertex sets
 that reaches 12-14 rows where the walk cannot; the other oracles
 enumerate `symmetric_group`.  `raw_grid_immanant_characters` and
 `per_alpha_immanant_characters` are the immanant characters before the clip
-and before the one Pieri walk over every content.
+and before the one Pieri walk over every content, and `jt_clip_oracle` is
+`_clip` read off the validated `jt_matrix` rather than the beta-numbers.
 """
 
 import importlib
@@ -106,6 +107,11 @@ def cycle_cover_walk(sub):
 def clipped(sub, c):
     """The grid clipped at c, negative subscripts kept as they are."""
     return [[min(x, c) for x in row] for row in sub]
+
+
+def jt_clip_oracle(shape, c):
+    """`_clip` by way of the shape's `JTMatrix`: its subscripts, -1 below 0, capped at c."""
+    return tuple(tuple([-1 if x < 0 else x if x < c else c for x in row]) for row in jt_matrix(shape).sub)
 
 
 def subset_dp_counts(sub):
@@ -367,6 +373,14 @@ def test_clip_counts_as_the_grid_clipped_at_c(c):
         grids.add(grid)
     if c == 1:
         assert len(grids) == 37
+
+
+@pytest.mark.parametrize("family", ["connected", "padded"])
+def test_clip_reads_the_jacobi_trudi_subscripts(family):
+    shapes = {"connected": CONNECTED_9, "padded": PADDED + [skew_shape((), (), 3), skew_shape((2, 2), (), 5)]}
+    for shape in shapes[family]:
+        for c in {0, 1, 2, shape.size // 2, shape.size}:
+            assert _clip(shape, c) == jt_clip_oracle(shape, c), (shape, c)
 
 
 @st.composite

@@ -381,8 +381,8 @@ def test_scan_expands_hooks_once_per_clipped_grid_and_size(monkeypatch):
     assert (len(keys), len(set(keys)), len(shapes)) == (76, 76, 387)
 
 
-@pytest.mark.parametrize("bounds, calls", [((5, 8), 221), ((4, 7), 91)])
-def test_scan_counts_gamma_once_per_clipped_grid_up_to_a_half_turn(monkeypatch, bounds, calls):
+def count_kernel_calls(monkeypatch):
+    """Record the grid of each `_grid_characters` call that verify makes."""
     real_grid_characters = immanants.verify._grid_characters
     grids = []
 
@@ -391,6 +391,12 @@ def test_scan_counts_gamma_once_per_clipped_grid_up_to_a_half_turn(monkeypatch, 
         return real_grid_characters(grid, size, thetas)
 
     monkeypatch.setattr("immanants.verify._grid_characters", counted)
+    return grids
+
+
+@pytest.mark.parametrize("bounds, calls", [((5, 8), 221), ((4, 7), 91)])
+def test_scan_counts_gamma_once_per_clipped_grid_up_to_a_half_turn(monkeypatch, bounds, calls):
+    grids = count_kernel_calls(monkeypatch)
     records = list(scan_records(*bounds))
     # Keyed by the clipped grid alone, with no half turn, (5, 8) makes 381 calls.
     assert len(grids) == calls < len({json.dumps(r["shape"]) for r in records})
@@ -456,11 +462,73 @@ def test_hook_suite_computes_h_and_h_prime_once_per_key(monkeypatch):
     assert sum(calls.values()) == 226 and max(calls.values()) == 2
 
 
-def test_positivity_suite_computes_h_once_per_bounded_shape(monkeypatch):
+def test_positivity_suite_computes_h_once_per_key(monkeypatch):
     calls = count_leading_runs(monkeypatch)
     assert suite_positivity(4, 7).ok
-    # The small-excess filter reads h; the key is the clipped grid, not h and h'.
-    assert calls == Counter(_bounded_connected_shapes(4, 7))
+    # The small-excess filter reads h, a function of the key: once for the first shape of
+    # each distinct (clipped grid, hooks), so once for each pre-abelian example too.
+    first = {}
+    for shape in chain(preabelian_example_shapes(), _bounded_connected_shapes(4, 7)):
+        first.setdefault((_clip(shape, 1), shape.size), shape)
+    assert calls == Counter(first.values())
+    assert len(first) < len(list(_bounded_connected_shapes(4, 7)))
+
+
+@pytest.mark.parametrize("names, calls", [
+    (["hook"], 113),
+    (["positivity"], 115),
+    (["hook", "positivity"], 115),
+    (["positivity", "hook"], 115),
+    (["all"], 115),
+])
+def test_hook_and_positivity_count_gamma_once_per_key_between_them(monkeypatch, names, calls):
+    grids = count_kernel_calls(monkeypatch)
+    reports = run_suites(names, 5, 9)
+    # Run one after the other, the two suites would make 113 + 115 = 228 calls.
+    assert len(grids) == calls and all(r.ok for r in reports)
+
+
+@pytest.mark.parametrize("names", [["hook", "positivity"], ["positivity", "hook"], ["hook", "hook"]])
+def test_the_shared_pass_gives_the_standalone_reports(names):
+    alone = {"hook": suite_hook(5, 9).to_json(), "positivity": suite_positivity(5, 9).to_json()}
+    reports = [r.to_json() for r in run_suites(names, 5, 9)]
+    assert reports == [alone[name] for name in names]
+    assert [r["instances"] for r in reports] == [{"hook": 3109, "positivity": 3121}[n] for n in names]
+
+
+def test_the_shared_pass_keys_by_size_as_well_as_grid(monkeypatch):
+    # The nine one-row shapes share one clipped grid but not their hooks; the three
+    # pre-abelian examples lie outside these bounds and add a key each.
+    grids = count_kernel_calls(monkeypatch)
+    hook, positivity = run_suites(["hook", "positivity"], 1, 9)
+    assert hook.ok and positivity.ok and (hook.instances, positivity.instances) == (9, 21)
+    assert len(grids) == 12 and grids.count(((1,),)) == 9
+
+
+def test_the_shared_pass_leaves_shapes_of_large_excess_to_the_hook_suite():
+    # (3,3,3,3) has h(1) - 1 = 3, the one shape in these bounds outside the small-excess family.
+    hook, positivity = run_suites(["hook", "positivity"], 4, 12)
+    assert hook.to_json() == per_shape_suite_hook(4, 12).to_json()
+    assert positivity.to_json() == per_shape_suite_positivity(4, 12).to_json()
+    assert positivity.instances == hook.instances - 4 + 3 * 4
+
+
+@pytest.mark.parametrize("suite", [suite_hook, suite_positivity], ids=lambda f: f.__name__)
+def test_a_broken_grid_fails_alike_in_the_shared_pass(monkeypatch, suite):
+    broken = _clip(skew_shape((3, 3, 1), (1,)), 1)
+    real_grid_characters = immanants.verify._grid_characters
+
+    def off_by_one_on_the_broken_grid(grid, size, thetas):
+        gammas = real_grid_characters(grid, size, thetas)
+        if grid != broken:
+            return gammas
+        return {theta: off_by_one_at_identity(g) for theta, g in gammas.items()}
+
+    monkeypatch.setattr("immanants.verify._grid_characters", off_by_one_on_the_broken_grid)
+    alone = suite(5, 9)
+    assert not alone.ok
+    shared = {r.name: r for r in run_suites(["positivity", "hook"], 5, 9)}
+    assert shared[alone.name].to_json() == alone.to_json()
 
 
 @pytest.mark.parametrize("suite, oracle", GROUPED_SUITES, ids=lambda f: f.__name__)
