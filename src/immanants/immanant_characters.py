@@ -91,7 +91,7 @@ def _up_to_half_turn(grid) -> tuple[tuple[int, ...], ...]:
     return min(grid, tuple(zip(*grid[::-1]))[::-1])
 
 
-def _grid_characters(grid, size: int, thetas) -> dict[Partition, ClassFunction]:
+def _grid_characters(grid, size: int, thetas, columns: dict | None = None) -> dict[Partition, ClassFunction]:
     """gamma_theta at each theta of `size` from a grid clipped (`_clip`) at c >= every theta_2.
 
     zee(rho) * sum of N[rho][alpha] * K(theta, alpha), with N from one
@@ -111,7 +111,10 @@ def _grid_characters(grid, size: int, thetas) -> dict[Partition, ClassFunction]:
     Every alpha has at most `rows` parts, so a theta with more has gamma 0.  The
     others are padded to the longest of them, and one `_pieri_layers` walk inside their
     entrywise maximum gives every K(mu, alpha) as alpha's last layer, mu -> K(mu, alpha);
-    each layer is folded into the asked thetas' rows as it comes, and dropped.
+    each layer is read as alpha's column [(mu, K)] over the asked thetas' rows, folded
+    into them as it comes, and dropped.  Calls that share `rows`, `size` and `thetas`
+    may share one `columns` dict, which keeps each alpha's column instead, so that each
+    alpha is walked once over those calls.
     """
     counts = cycle_cover_counts(grid)
     rows, classes = len(grid), partitions_of(len(grid))
@@ -122,11 +125,17 @@ def _grid_characters(grid, size: int, thetas) -> dict[Partition, ClassFunction]:
     width = max((len(theta) for theta in thetas if len(theta) <= rows), default=0)
     padded = {theta: theta + (0,) * (width - len(theta)) for theta in thetas if len(theta) <= rows}
     acc = {mu: [0] * len(classes) for mu in padded.values()}
-    for alpha, layer in _pieri_layers(tuple(map(max, zip(*acc))), (), weights):
-        for mu, k in layer.items():
-            if (row := acc.get(mu)) is not None:
-                for i, w in weights[alpha]:
-                    row[i] += w * k
+    walk = _pieri_layers(tuple(map(max, zip(*acc))), (), weights if columns is None else
+                         [alpha for alpha in weights if alpha not in columns])
+    read = ((alpha, [(mu, k) for mu, k in layer.items() if mu in acc]) for alpha, layer in walk)
+    if columns is not None:  # keep the new columns, then read every alpha's from the memo
+        columns.update(read)
+        read = ((alpha, columns[alpha]) for alpha in weights)
+    for alpha, column in read:
+        for mu, k in column:
+            row = acc[mu]
+            for i, w in weights[alpha]:
+                row[i] += w * k
     zero = ClassFunction(rows, dict.fromkeys(classes, 0))
     by_mu = {mu: ClassFunction(rows, dict(zip(classes, row))) for mu, row in acc.items()}
     return {theta: by_mu[padded[theta]] if theta in padded else zero for theta in thetas}

@@ -153,7 +153,7 @@ def _bounded_connected_shapes(max_n: int, max_size: int):
 
 def suite_hook(max_n: int = 5, max_size: int = 9) -> CheckReport:
     """Hook expansion over every connected shape and hook within bounds, checked once per
-    distinct (clipped grid, hooks): the hook half of `_grid_suites`."""
+    grid clipped at 1: the hook half of `_grid_suites`."""
     return _grid_suites(max_n, max_size, ["hook"])["hook"]
 
 
@@ -161,35 +161,44 @@ def _grid_suites(max_n: int, max_size: int, names) -> dict[str, CheckReport]:
     """The "hook" and "positivity" suites among names, in one pass over their shapes.
 
     The hook suite takes every bounded connected shape; the positivity suite takes the
-    pre-abelian examples, then the bounded shapes of small excess.  A shape's key, its
-    Jacobi-Trudi grid clipped at 1 (`_clip`) and its hooks, fixes gamma_theta at every hook,
-    and h and h' too: h(j) is the last row whose clipped entry is at least 0, h'(j) the last
-    whose entry is 1.  So per key the small-excess filter reads h once, one
-    `_grid_characters` call feeds both checks, and only their failures are kept.  Every
-    theta of every shape still counts as one instance, and each shape gets its key's
-    failures under its own "shape", in the order of its suite.
+    pre-abelian examples, then the bounded shapes of small excess.  A shape's Jacobi-Trudi
+    grid clipped at 1 (`_clip`) fixes h and h' (h(j) is the last row whose clipped entry is
+    at least 0, h'(j) the last whose entry is 1) and gamma at each of its hooks
+    (N - k, 1^k), k < rows: by the clip lemma of `_grid_characters`, K((N - k, 1^k), alpha)
+    reads only k and min(alpha, 1), whose first part is 1 since N >= rows.  So per
+    grid the small-excess filter reads h once, and one `hook_decompositions` and one
+    `_grid_characters` call, at the first shape's hooks, feed both checks: 37 calls for the
+    hook suite at (5, 9), 39 with the examples.  Only their failures are kept; every shape
+    takes them with its own "shape" and the theta of its own size at each failure's leg.
+    Every theta of every shape still counts as one instance, in the order of its suite.
     """
     hook, positivity = "hook" in names, "positivity" in names
     hook_report, positivity_report = CheckReport("hook-expansion"), CheckReport("hook-positivity")
     examples = preabelian_example_shapes() if positivity else []
     bounded = _bounded_connected_shapes(max_n, max_size)
     checked: dict[tuple, tuple] = {}
+    by_size: dict[int, tuple] = {}
     for example, shape in chain(((True, s) for s in examples), ((False, s) for s in bounded)):
-        thetas = hooks_of(shape.size)[: shape.rows]
-        if (key := (grid := _clip(shape, 1), tuple(thetas))) not in checked:
+        if (hooks := by_size.get(shape.size)) is None:
+            hooks = by_size[shape.size] = hooks_of(shape.size)
+        if (grid := _clip(shape, 1)) not in checked:
+            thetas = hooks[: shape.rows]
             small = positivity and is_dahlberg_small(hessenberg_from_skew(shape))
             decomps = hook_decompositions(shape, thetas) if hook else {}
             gammas = _grid_characters(grid, shape.size, thetas) if hook or small or example else {}
             not_positive = _positivity_failures(shape, gammas) if small or example else []
-            checked[key] = small, _hook_failures(decomps, gammas), not_positive
-        small, hook_failures, not_positive = checked[key]
+            checked[grid] = small, _hook_failures(decomps, gammas), not_positive
+        small, hook_failures, not_positive = checked[grid]
         for report, counted, failures in (
             (hook_report, hook and not example, hook_failures),
             (positivity_report, small or example, not_positive),
         ):
             if counted:
-                report.instances += len(thetas)
-                report.failures += [{**failure, "shape": shape.to_json()} for failure in failures]
+                report.instances += shape.rows
+                report.failures += [  # a hook of leg k has k + 1 parts
+                    {**failure, "shape": shape.to_json(), "theta": list(hooks[len(failure["theta"]) - 1])}
+                    for failure in failures
+                ]
     return {"hook": hook_report, "positivity": positivity_report}
 
 
@@ -428,7 +437,7 @@ def preabelian_example_shapes() -> list[SkewShape]:
 
 def suite_positivity(max_n: int = 5, max_size: int = 8) -> CheckReport:
     """Induced-trivial positivity on the pre-abelian and small-excess families, checked once
-    per distinct (clipped grid, hooks): the positivity half of `_grid_suites`."""
+    per grid clipped at 1: the positivity half of `_grid_suites`."""
     return _grid_suites(max_n, max_size, ["positivity"])["positivity"]
 
 
@@ -480,17 +489,19 @@ def scan_records(max_n: int, max_size: int):
 def _scan_lines(max_n: int, max_size: int):
     """Per connected shape in bounds, the JSON lines of its scan records.
 
-    What records share is encoded once.  Per shape: its "shape" and "h".  Per call:
-    the expansion of each distinct class function.  Per (rows, size) block: each
-    theta's text and hook flag, the hook summands of each distinct grid clipped at 1,
-    which fixes h, h' and the hooks (see `_grid_suites`), and each theta's identity
-    Kostka number and expansion once per grid clipped at max(1, size // 2) >= every
-    theta_2, up to a half turn (`_up_to_half_turn`): 221 `_grid_characters` calls for
-    the 387 shapes at (5, 8).  The block memos hold for one rows and size only
-    (one-row grids of any size clip alike), so each is dropped with its block.
+    What records share is encoded once.  Per shape: its "shape" and "h".  Per (rows,
+    size) block: each theta's text and hook flag, the hook summands of each distinct
+    grid clipped at 1, which fixes h, h' and the hooks (see `_grid_suites`), each
+    theta's identity Kostka number and expansion once per grid clipped at
+    max(1, size // 2) >= every theta_2, up to a half turn (`_up_to_half_turn`): 221
+    `_grid_characters` calls for the 387 shapes at (5, 8), the expansion of each
+    distinct class function, and each Kostka column K(., alpha) over the block's
+    thetas, walked by the first kernel call that meets alpha.  The block memos hold
+    for one rows and size only (one-row grids of any size clip alike, and a column
+    holds the block's thetas alone), so each is dropped with its block and memory
+    does not grow with the run.
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
-    expanded: dict[tuple, str] = {}
     for rows in range(1, max_n + 1):
         # The identity is the only permutation of type (1^n) and its content is the
         # row widths, so gamma_theta(1^n) = zee(1^n) * K(theta, widths) = n! * K(theta, widths).
@@ -504,6 +515,8 @@ def _scan_lines(max_n: int, max_size: int):
             hook_thetas = list(filter(is_hook, thetas))
             summands: dict[tuple, dict] = {}
             shared: dict[tuple, list] = {}
+            expanded: dict[tuple, str] = {}
+            columns: dict[tuple, list] = {}
             for shape in connected_skew_shapes(rows, size):
                 head = '{"shape":' + encode(shape.to_json()) + ',"theta":['
                 middle = ',"h":' + encode(list(hessenberg_from_skew(shape).values)) + ',"identity_kostka":'
@@ -517,7 +530,7 @@ def _scan_lines(max_n: int, max_size: int):
                     }
                 if (tails := shared.get(key := _up_to_half_turn(grid))) is None:
                     tails = shared[key] = []
-                    for gamma in _grid_characters(grid, size, thetas).values():
+                    for gamma in _grid_characters(grid, size, thetas, columns).values():
                         if (eta := expanded.get(values := tuple(gamma.values.items()))) is None:
                             dec = h_positive_decomposition(gamma)
                             positive = "true" if dec.is_integral and dec.is_nonnegative else "false"

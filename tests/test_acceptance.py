@@ -211,14 +211,35 @@ def test_criterion_12_positivity_families():
     assert sweep.ok, sweep.failures[:3]
 
 
-def timed_cli(*argv):
-    """Run the CLI on this checkout's src in a subprocess: (completed process, wall seconds)."""
+def timed_cli(*argv, launcher=()):
+    """Run the CLI on this checkout's src in a subprocess, started by `python *launcher` when
+    a launcher is given: (completed process, wall seconds)."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    program = [sys.executable, *launcher] if launcher else []
     start = time.monotonic()
-    done = subprocess.run([sys.executable, "-m", "immanants.cli", *argv], capture_output=True, env=env, cwd=root)
+    done = subprocess.run(
+        [*program, sys.executable, "-m", "immanants.cli", *argv], capture_output=True, env=env, cwd=root)
     return done, time.monotonic() - start
+
+
+# Spawns argv[1:], reaps it with os.wait4 and appends its peak RSS in KB to stderr.  Linux
+# carries the spawning process's peak RSS into the child's ru_maxrss across exec, so the
+# CLI is spawned by this small launcher, not by pytest.
+PEAK_LAUNCHER = (
+    "import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ); "
+    "_, status, usage = os.wait4(pid, 0); print(usage.ru_maxrss, file=sys.stderr); "
+    "sys.exit(os.waitstatus_to_exitcode(status))"
+)
+
+
+def peak_cli(*argv):
+    """`timed_cli` through `PEAK_LAUNCHER`: (completed process, wall seconds, peak RSS in MB)."""
+    done, elapsed = timed_cli(*argv, launcher=("-I", "-S", "-c", PEAK_LAUNCHER))
+    *stderr, peak = done.stderr.split(b"\n")[:-1]
+    done.stderr = b"\n".join(stderr)
+    return done, elapsed, int(peak) / 1024
 
 
 def test_criterion_13_gamma_at_theta2_2_on_twelve_rows():
@@ -258,12 +279,15 @@ def test_criterion_14_one_pieri_walk_for_every_alpha():
 
 def test_criterion_15_scan_digest_where_half_turns_merge_many_shapes():
     # At (7, 11) `scan` counts gamma once per clipped grid up to a half turn, on
-    # grids that many shapes share; its bytes are pinned here.
-    done, elapsed = timed_cli("scan", "--max-n", "7", "--max-size", "11")
+    # grids that many shapes share; its bytes are pinned here.  Its memos, Kostka
+    # columns and eta-expansions included, are dropped with each (rows, size) block,
+    # so its peak stays near one block's (41 MB when the eta memo lived for the run).
+    done, elapsed, peak_mb = peak_cli("scan", "--max-n", "7", "--max-size", "11")
     digest = hashlib.sha256(done.stdout).hexdigest()
     want = "422361de27d2863123797bcbb74f0f221dac91ba91cd2edc084628b855018cf1"
-    ok = done.returncode == 0 and digest == want and elapsed < 20
-    report(15, "scan-digest-at-7-rows-11-boxes", ok, f"{elapsed:.2f}s")
+    ok = done.returncode == 0 and digest == want and elapsed < 20 and peak_mb < 35
+    report(15, "scan-digest-at-7-rows-11-boxes", ok, f"{elapsed:.2f}s, {peak_mb:.1f} MB")
     assert done.returncode == 0, done.stderr
     assert digest == want
     assert elapsed < 20
+    assert peak_mb < 35

@@ -181,8 +181,10 @@ def test_scan_streams_json_lines(capsys):
 
 def test_scan_encodes_each_expansion_once_and_writes_once_per_shape(monkeypatch):
     shapes = list(_bounded_connected_shapes(4, 7))
-    gammas = [gamma for shape in shapes for gamma in immanant_characters(shape).values()]
-    distinct = {tuple(gamma.values.items()) for gamma in gammas}
+    gammas = [(shape.size, gamma) for shape in shapes for gamma in immanant_characters(shape).values()]
+    # Keyed by size too: the memo is dropped with each (rows, size) block, and rows is
+    # the degree of the class function.
+    distinct = {(size, tuple(gamma.values.items())) for size, gamma in gammas}
     encoded = []
     real_to_json = HPositiveDecomposition.to_json
     monkeypatch.setattr(HPositiveDecomposition, "to_json",
@@ -202,7 +204,7 @@ def test_scan_encodes_each_expansion_once_and_writes_once_per_shape(monkeypatch)
     stdout = Stdout()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["scan", "--max-n", "4", "--max-size", "7"]) == 0
-    # One expansion per distinct class function, not one per record.
+    # One expansion per distinct class function of each block, not one per record.
     assert len(encoded) == len(distinct) < len(gammas)
     # One write per shape, holding every record of that shape.
     assert len(stdout.chunks) == len(shapes)

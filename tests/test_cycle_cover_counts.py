@@ -457,6 +457,19 @@ def test_the_grid_kernel_needs_no_shape():
         assert got == {theta: want[theta] for theta in hooks}, shape
 
 
+def test_hook_gammas_read_only_the_grid_clipped_at_1_and_the_leg():
+    # The clip lemma at c = 1: gamma at the hook (N - k, 1^k) of a shape with N >= rows
+    # boxes depends on its grid clipped at 1 and on k, not on N, so the hook suite makes
+    # one kernel call per grid for every size that shares it.
+    legs, sizes = {}, {}
+    for shape in CONNECTED_9:
+        grid = _clip(shape, 1)
+        gammas = list(_grid_characters(grid, shape.size, hooks_of(shape.size)[: shape.rows]).values())
+        assert legs.setdefault(grid, gammas) == gammas, shape
+        sizes.setdefault(grid, set()).add(shape.size)
+    assert len(legs) == 37 and sum(len(s) > 1 for s in sizes.values()) == 26
+
+
 @pytest.mark.parametrize(
     "sub",
     [

@@ -36,6 +36,7 @@ from immanants import (
     zee,
 )
 from immanants.immanant_characters import _clip
+from immanants.jacobitrudi import cycle_cover_counts
 from immanants.permutations import conjugacy_classes
 from immanants.tableaux import _normalize_content
 from immanants.verify import (
@@ -386,9 +387,9 @@ def count_kernel_calls(monkeypatch):
     real_grid_characters = immanants.verify._grid_characters
     grids = []
 
-    def counted(grid, size, thetas):
+    def counted(grid, size, thetas, columns=None):
         grids.append(grid)
-        return real_grid_characters(grid, size, thetas)
+        return real_grid_characters(grid, size, thetas, columns)
 
     monkeypatch.setattr("immanants.verify._grid_characters", counted)
     return grids
@@ -400,6 +401,32 @@ def test_scan_counts_gamma_once_per_clipped_grid_up_to_a_half_turn(monkeypatch, 
     records = list(scan_records(*bounds))
     # Keyed by the clipped grid alone, with no half turn, (5, 8) makes 381 calls.
     assert len(grids) == calls < len({json.dumps(r["shape"]) for r in records})
+
+
+def test_scan_walks_each_kostka_column_once_per_block(monkeypatch):
+    # Per (rows, size) block, one Pieri walk per distinct alpha that the block's kernel
+    # calls meet.  The block's thetas pad to `rows` parts, so a walk's outer has `rows`
+    # entries and each content sums to `size`: that names a walked alpha's block.
+    module = sys.modules["immanants.immanant_characters"]
+    real_walk, real_kernel = module._pieri_layers, immanants.verify._grid_characters
+    walked, met, per_call = Counter(), set(), 0
+
+    def counted_walk(outer, inner, contents):
+        contents = list(contents)
+        walked.update((len(outer), sum(alpha), alpha) for alpha in contents)
+        return real_walk(outer, inner, contents)
+
+    def kernel(grid, size, thetas, columns=None):
+        nonlocal per_call
+        alphas = {(size - sum(a[1:]), *a[1:]) for by_alpha in cycle_cover_counts(grid).values() for a in by_alpha}
+        met.update((len(grid), size, alpha) for alpha in alphas)
+        per_call += len(alphas)
+        return real_kernel(grid, size, thetas, columns)
+
+    monkeypatch.setattr(module, "_pieri_layers", counted_walk)
+    monkeypatch.setattr("immanants.verify._grid_characters", kernel)
+    assert list(_scan_lines(5, 8))
+    assert walked == Counter(met) and len(met) < per_call
 
 
 def assert_each_line_is_its_record(max_n, max_size):
@@ -458,34 +485,35 @@ def test_scan_computes_h_and_h_prime_once_per_shape(monkeypatch):
 def test_hook_suite_computes_h_and_h_prime_once_per_key(monkeypatch):
     calls = count_leading_runs(monkeypatch)
     assert suite_hook(5, 9).ok
-    # h and h' once for each of the 113 distinct (clipped grid, hooks), not per shape.
-    assert sum(calls.values()) == 226 and max(calls.values()) == 2
+    # h and h' once for each of the 37 grids clipped at 1, not per shape or size.
+    assert sum(calls.values()) == 74 and max(calls.values()) == 2
 
 
 def test_positivity_suite_computes_h_once_per_key(monkeypatch):
     calls = count_leading_runs(monkeypatch)
     assert suite_positivity(4, 7).ok
-    # The small-excess filter reads h, a function of the key: once for the first shape of
-    # each distinct (clipped grid, hooks), so once for each pre-abelian example too.
+    # The small-excess filter reads h, a function of the grid clipped at 1: once for the
+    # first shape of each grid, whatever its size, so once for each pre-abelian example too.
     first = {}
     for shape in chain(preabelian_example_shapes(), _bounded_connected_shapes(4, 7)):
-        first.setdefault((_clip(shape, 1), shape.size), shape)
+        first.setdefault(_clip(shape, 1), shape)
     assert calls == Counter(first.values())
-    assert len(first) < len(list(_bounded_connected_shapes(4, 7)))
+    assert len(first) < len({(_clip(s, 1), s.size) for s in _bounded_connected_shapes(4, 7)})
 
 
 @pytest.mark.parametrize("names, calls", [
-    (["hook"], 113),
-    (["positivity"], 115),
-    (["hook", "positivity"], 115),
-    (["positivity", "hook"], 115),
-    (["all"], 115),
+    (["hook"], 37),
+    (["positivity"], 39),
+    (["hook", "positivity"], 39),
+    (["positivity", "hook"], 39),
+    (["all"], 39),
 ])
 def test_hook_and_positivity_count_gamma_once_per_key_between_them(monkeypatch, names, calls):
     grids = count_kernel_calls(monkeypatch)
     reports = run_suites(names, 5, 9)
-    # Run one after the other, the two suites would make 113 + 115 = 228 calls.
-    assert len(grids) == calls and all(r.ok for r in reports)
+    # One call per grid clipped at 1: 37 bounded grids, and two pre-abelian examples
+    # outside the bounds.  Keyed by (grid, hooks) the pass made 113 / 115 calls.
+    assert len(grids) == len(set(grids)) == calls and all(r.ok for r in reports)
 
 
 @pytest.mark.parametrize("names", [["hook", "positivity"], ["positivity", "hook"], ["hook", "hook"]])
@@ -496,13 +524,14 @@ def test_the_shared_pass_gives_the_standalone_reports(names):
     assert [r["instances"] for r in reports] == [{"hook": 3109, "positivity": 3121}[n] for n in names]
 
 
-def test_the_shared_pass_keys_by_size_as_well_as_grid(monkeypatch):
-    # The nine one-row shapes share one clipped grid but not their hooks; the three
-    # pre-abelian examples lie outside these bounds and add a key each.
+def test_the_shared_pass_keys_by_the_grid_alone(monkeypatch):
+    # The nine one-row shapes share one clipped grid, and their one hook (N) has leg 0
+    # at every size; the three pre-abelian examples lie outside these bounds and add a
+    # grid each.
     grids = count_kernel_calls(monkeypatch)
     hook, positivity = run_suites(["hook", "positivity"], 1, 9)
     assert hook.ok and positivity.ok and (hook.instances, positivity.instances) == (9, 21)
-    assert len(grids) == 12 and grids.count(((1,),)) == 9
+    assert len(grids) == 4 and grids.count(((1,),)) == 1
 
 
 def test_the_shared_pass_leaves_shapes_of_large_excess_to_the_hook_suite():
@@ -518,8 +547,8 @@ def test_a_broken_grid_fails_alike_in_the_shared_pass(monkeypatch, suite):
     broken = _clip(skew_shape((3, 3, 1), (1,)), 1)
     real_grid_characters = immanants.verify._grid_characters
 
-    def off_by_one_on_the_broken_grid(grid, size, thetas):
-        gammas = real_grid_characters(grid, size, thetas)
+    def off_by_one_on_the_broken_grid(grid, size, thetas, columns=None):
+        gammas = real_grid_characters(grid, size, thetas, columns)
         if grid != broken:
             return gammas
         return {theta: off_by_one_at_identity(g) for theta, g in gammas.items()}
@@ -542,8 +571,8 @@ def test_a_broken_grid_fails_every_shape_that_has_it(monkeypatch, suite, oracle)
     module = sys.modules["immanants.immanant_characters"]  # the package binds the function
     real_grid_characters = module._grid_characters
 
-    def off_by_one_on_the_broken_grid(grid, size, thetas):
-        gammas = real_grid_characters(grid, size, thetas)
+    def off_by_one_on_the_broken_grid(grid, size, thetas, columns=None):
+        gammas = real_grid_characters(grid, size, thetas, columns)
         if grid != broken:
             return gammas
         return {theta: off_by_one_at_identity(g) for theta, g in gammas.items()}
@@ -555,8 +584,9 @@ def test_a_broken_grid_fails_every_shape_that_has_it(monkeypatch, suite, oracle)
     report, want = suite(5, 9), oracle(5, 9)
     assert report.to_json() == want.to_json()
     shapes = [shape for shape in _bounded_connected_shapes(5, 9) if _clip(shape, 1) == broken]
-    assert len(shapes) == 46  # of 3 to 9 boxes, so five hook lists
-    # One failure per hook of each such shape, under its own "shape".
+    assert len(shapes) == 46 and {shape.size for shape in shapes} == set(range(5, 10))
+    # One failure per hook of each such shape, under its own "shape" and the hook of its
+    # own size, though one kernel call serves the grid at every size.
     assert [(f["shape"], f["theta"]) for f in report.failures] == [
         (shape.to_json(), list(theta)) for shape in shapes for theta in hooks_of(shape.size)[: shape.rows]
     ]
@@ -604,15 +634,15 @@ def test_hook_suite_counts_covers_once_per_distinct_key(monkeypatch):
     real_grid_characters = immanants.verify._grid_characters
     grids = []
 
-    def counted(grid, size, thetas):
+    def counted(grid, size, thetas, columns=None):
         # A summand's 0/-1 pattern reaches cycle_cover_counts without this kernel.
         grids.append(grid)
-        return real_grid_characters(grid, size, thetas)
+        return real_grid_characters(grid, size, thetas, columns)
 
     monkeypatch.setattr("immanants.verify._grid_characters", counted)
     assert suite_hook(5, 9).instances == 3109
-    # 811 shapes, 113 distinct (grid, h, h', hooks), 37 distinct grids.
-    assert len(grids) == 113 and len(set(grids)) == 37
+    # 811 shapes, 113 distinct (grid, hooks), 37 distinct grids: one call per grid.
+    assert len(grids) == len(set(grids)) == 37
 
 
 def failing_thetas(report):
@@ -648,8 +678,8 @@ def test_class_level_hook_check_matches_the_per_permutation_oracle(monkeypatch, 
 def test_hook_check_sees_a_class_value_the_oracle_cannot(monkeypatch):
     real_grid_characters = immanants.verify._grid_characters
 
-    def off_by_one_everywhere(grid, size, thetas):
-        gammas = real_grid_characters(grid, size, thetas)
+    def off_by_one_everywhere(grid, size, thetas, columns=None):
+        gammas = real_grid_characters(grid, size, thetas, columns)
         return {theta: off_by_one_at_identity(g) for theta, g in gammas.items()}
 
     monkeypatch.setattr("immanants.verify._grid_characters", off_by_one_everywhere)
