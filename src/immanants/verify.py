@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from itertools import chain, product
+from itertools import product
 
 from .characters import (
     ClassFunction,
@@ -46,6 +46,7 @@ from .tableaux import (
     _normalize_content,
     check_partition,
     connected_skew_shapes,
+    hook_partition,
     hooks_of,
     is_hook,
     kostka,
@@ -152,54 +153,52 @@ def _bounded_connected_shapes(max_n: int, max_size: int):
 
 
 def suite_hook(max_n: int = 5, max_size: int = 9) -> CheckReport:
-    """Hook expansion over every connected shape and hook within bounds, checked once per
-    grid clipped at 1: the hook half of `_grid_suites`."""
-    return _grid_suites(max_n, max_size, ["hook"])["hook"]
+    """Hook expansion over every connected shape and hook within bounds: the hook report of
+    `_grid_suites`, whose one pass keys hook data by the grid clipped at 1 for both suites."""
+    return _grid_suites(max_n, max_size)["hook"]
 
 
-def _grid_suites(max_n: int, max_size: int, names) -> dict[str, CheckReport]:
-    """The "hook" and "positivity" suites among names, in one pass over their shapes.
+def _grid_suites(max_n: int, max_size: int) -> dict[str, CheckReport]:
+    """The "hook" and "positivity" suites in one pass; hook data has one key, the grid clipped at 1.
 
     The hook suite takes every bounded connected shape; the positivity suite takes the
     pre-abelian examples, then the bounded shapes of small excess.  A shape's Jacobi-Trudi
     grid clipped at 1 (`_clip`) fixes h and h' (h(j) is the last row whose clipped entry is
     at least 0, h'(j) the last whose entry is 1) and gamma at each of its hooks
     (N - k, 1^k), k < rows: by the clip lemma of `_grid_characters`, K((N - k, 1^k), alpha)
-    reads only k and min(alpha, 1), whose first part is 1 since N >= rows.  So per
-    grid the small-excess filter reads h once, and one `hook_decompositions` and one
-    `_grid_characters` call, at the first shape's hooks, feed both checks: 37 calls for the
-    hook suite at (5, 9), 39 with the examples.  Only their failures are kept; every shape
-    takes them with its own "shape" and the theta of its own size at each failure's leg.
-    Every theta of every shape still counts as one instance, in the order of its suite.
+    reads only k and min(alpha, 1), whose first part is 1 since N >= rows.  So per grid,
+    one `hook_decompositions` and one `_grid_characters` call at the first shape's hooks
+    give whether h is small and the failures of both checks.  Every shape takes the
+    grid's failures under its own "shape" and the hook of its own size at each failure's
+    leg, and every theta of every shape counts as one instance, in the order of its suite.
     """
-    hook, positivity = "hook" in names, "positivity" in names
-    hook_report, positivity_report = CheckReport("hook-expansion"), CheckReport("hook-positivity")
-    examples = preabelian_example_shapes() if positivity else []
-    bounded = _bounded_connected_shapes(max_n, max_size)
+    hook, positivity = CheckReport("hook-expansion"), CheckReport("hook-positivity")
     checked: dict[tuple, tuple] = {}
-    by_size: dict[int, tuple] = {}
-    for example, shape in chain(((True, s) for s in examples), ((False, s) for s in bounded)):
-        if (hooks := by_size.get(shape.size)) is None:
-            hooks = by_size[shape.size] = hooks_of(shape.size)
+
+    def tally(report: CheckReport, shape: SkewShape, failures: list[dict]) -> None:
+        report.instances += shape.rows
+        report.failures += [  # a hook of leg k has k + 1 parts
+            {**failure, "shape": shape.to_json(), "theta": list(hook_partition(shape.size, len(failure["theta"]) - 1))}
+            for failure in failures
+        ]
+
+    def grid_failures(shape: SkewShape) -> tuple:
         if (grid := _clip(shape, 1)) not in checked:
-            thetas = hooks[: shape.rows]
-            small = positivity and is_dahlberg_small(hessenberg_from_skew(shape))
-            decomps = hook_decompositions(shape, thetas) if hook else {}
-            gammas = _grid_characters(grid, shape.size, thetas) if hook or small or example else {}
-            not_positive = _positivity_failures(shape, gammas) if small or example else []
-            checked[grid] = small, _hook_failures(decomps, gammas), not_positive
-        small, hook_failures, not_positive = checked[grid]
-        for report, counted, failures in (
-            (hook_report, hook and not example, hook_failures),
-            (positivity_report, small or example, not_positive),
-        ):
-            if counted:
-                report.instances += shape.rows
-                report.failures += [  # a hook of leg k has k + 1 parts
-                    {**failure, "shape": shape.to_json(), "theta": list(hooks[len(failure["theta"]) - 1])}
-                    for failure in failures
-                ]
-    return {"hook": hook_report, "positivity": positivity_report}
+            thetas = hooks_of(shape.size)[: shape.rows]
+            decomps = hook_decompositions(shape, thetas)
+            gammas = _grid_characters(grid, shape.size, thetas)
+            small = is_dahlberg_small(decomps[thetas[0]].base)
+            checked[grid] = small, _hook_failures(decomps, gammas), _positivity_failures(shape, gammas)
+        return checked[grid]
+
+    for shape in preabelian_example_shapes():
+        tally(positivity, shape, grid_failures(shape)[2])
+    for shape in _bounded_connected_shapes(max_n, max_size):
+        small, hook_failures, not_positive = grid_failures(shape)
+        tally(hook, shape, hook_failures)
+        if small:
+            tally(positivity, shape, not_positive)
+    return {"hook": hook, "positivity": positivity}
 
 
 def _agree(name: str, context: dict, gammas: dict, other) -> CheckReport:
@@ -436,9 +435,9 @@ def preabelian_example_shapes() -> list[SkewShape]:
 
 
 def suite_positivity(max_n: int = 5, max_size: int = 8) -> CheckReport:
-    """Induced-trivial positivity on the pre-abelian and small-excess families, checked once
-    per grid clipped at 1: the positivity half of `_grid_suites`."""
-    return _grid_suites(max_n, max_size, ["positivity"])["positivity"]
+    """Induced-trivial positivity on the pre-abelian and small-excess families: the positivity
+    report of `_grid_suites`, whose one pass keys hook data by the grid clipped at 1 for both suites."""
+    return _grid_suites(max_n, max_size)["positivity"]
 
 
 def _positivity_failures(shape: SkewShape, gammas: dict) -> list[dict]:
@@ -469,8 +468,8 @@ def run_suites(names, max_n: int, max_size: int) -> list[CheckReport]:
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; choose from {sorted(SUITES)} or 'all'")
-    # Both suites asked: one pass, one kernel call per key for the two.
-    shared = _grid_suites(max_n, max_size, names) if {"hook", "positivity"} <= set(names) else {}
+    # Either suite asked: one pass gives both reports.
+    shared = _grid_suites(max_n, max_size) if {"hook", "positivity"} & set(names) else {}
     return [shared[name] if name in shared else SUITES[name](max_n, max_size) for name in names]
 
 
@@ -489,31 +488,33 @@ def scan_records(max_n: int, max_size: int):
 def _scan_lines(max_n: int, max_size: int):
     """Per connected shape in bounds, the JSON lines of its scan records.
 
-    What records share is encoded once.  Per shape: its "shape" and "h".  Per (rows,
-    size) block: each theta's text and hook flag, the hook summands of each distinct
-    grid clipped at 1, which fixes h, h' and the hooks (see `_grid_suites`), each
-    theta's identity Kostka number and expansion once per grid clipped at
-    max(1, size // 2) >= every theta_2, up to a half turn (`_up_to_half_turn`): 221
-    `_grid_characters` calls for the 387 shapes at (5, 8), the expansion of each
-    distinct class function, and each Kostka column K(., alpha) over the block's
-    thetas, walked by the first kernel call that meets alpha.  The block memos hold
-    for one rows and size only (one-row grids of any size clip alike, and a column
-    holds the block's thetas alone), so each is dropped with its block and memory
-    does not grow with the run.
+    What records share is encoded once.  Per shape: its "shape" and "h".  Per row count:
+    the hook summands of each distinct grid clipped at 1, one text per leg < rows, since
+    that grid fixes h, h' and so the summands at each leg, whatever the size (see
+    `_grid_suites`); a longer leg has no summands.  Per (rows, size) block: each theta's
+    text and hook flag, each theta's identity Kostka number and expansion once per grid
+    clipped at max(1, size // 2) >= every theta_2, up to a half turn
+    (`_up_to_half_turn`), the expansion of each distinct class function, and each Kostka
+    column K(., alpha) over the block's thetas, walked by the first kernel call that
+    meets alpha.  The block memos hold for one rows and size only (a column holds the
+    block's thetas alone), so they are dropped with the block and the summand memo with
+    its row count, and memory does not grow with the run.
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
     for rows in range(1, max_n + 1):
         # The identity is the only permutation of type (1^n) and its content is the
         # row widths, so gamma_theta(1^n) = zee(1^n) * K(theta, widths) = n! * K(theta, widths).
         identity, scale = (1,) * rows, math.factorial(rows)
+        # Per grid: the summand texts at legs 0 .. rows - 1, then the empty ones of every
+        # longer leg, then "" for a theta that is not a hook (slot -1).
+        summands: dict[tuple, list] = {}
         for size in range(rows, max_size + 1):
             thetas = partitions_of(size)
             texts = [
                 ",".join(map(str, theta)) + ('],"hook":true' if is_hook(theta) else '],"hook":false')
                 for theta in thetas
             ]
-            hook_thetas = list(filter(is_hook, thetas))
-            summands: dict[tuple, dict] = {}
+            slots = [min(len(theta) - 1, rows) if is_hook(theta) else -1 for theta in thetas]
             shared: dict[tuple, list] = {}
             expanded: dict[tuple, str] = {}
             columns: dict[tuple, list] = {}
@@ -524,10 +525,9 @@ def _scan_lines(max_n: int, max_size: int):
                 grid = _clip(shape, size // 2 or 1)
                 ones = tuple(tuple([x if x < 1 else 1 for x in row]) for row in grid)
                 if (hooks := summands.get(ones)) is None:
-                    hooks = summands[ones] = {
-                        theta: ',"summands":' + encode(d.to_json()["summands"])
-                        for theta, d in hook_decompositions(shape, hook_thetas).items()
-                    }
+                    decomps = hook_decompositions(shape, hooks_of(size)[:rows]).values()
+                    hooks = summands[ones] = [',"summands":' + encode(d.to_json()["summands"]) for d in decomps]
+                    hooks += [',"summands":[]', ""]
                 if (tails := shared.get(key := _up_to_half_turn(grid))) is None:
                     tails = shared[key] = []
                     for gamma in _grid_characters(grid, size, thetas, columns).values():
@@ -538,6 +538,6 @@ def _scan_lines(max_n: int, max_size: int):
                         # eta stays apart: a key holds the `expanded` string, not a copy.
                         tails.append((str(gamma.values[identity] // scale), eta))
                 yield [
-                    head + text + middle + k + eta + hooks.get(theta, "") + "}"
-                    for theta, text, (k, eta) in zip(thetas, texts, tails)
+                    head + text + middle + k + eta + hooks[slot] + "}"
+                    for text, slot, (k, eta) in zip(texts, slots, tails)
                 ]

@@ -2,7 +2,7 @@ import importlib
 import math
 import random
 import time
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from immanants import (
     immanant_character,
     immanant_character_from_components,
     immanant_characters,
+    induced_trivial_character,
     inner_product,
     is_abelian,
     is_dahlberg_small,
@@ -122,6 +123,20 @@ def test_stanley_stembridge_full_function_is_regular_like():
         ident = stanley_stembridge_character(hessenberg(tuple(range(1, n + 1))))
         assert ident.values[(1,) * n] == math.factorial(n)
         assert all(v == 0 for r, v in ident.values.items() if r != (1,) * n)
+
+
+def test_stanley_stembridge_of_a_block_diagonal_function_is_lambda_factorial_times_eta():
+    # An anchor whose expected side owes nothing to the cycle-cover sweep: with h(j) the
+    # last index of j's block, the permutations under h are the Young subgroup S_lambda, so
+    # SS(h)(rho) = zee(rho) * |C_rho & S_lambda| = |S_lambda| * eta_lambda(rho).
+    partitions = 0
+    for n in range(9):
+        for lam in partitions_of(n):
+            h = hessenberg(tuple(end for end, part in zip(accumulate(lam), lam) for _ in range(part)))
+            want = math.prod(map(math.factorial, lam)) * induced_trivial_character(lam)
+            assert stanley_stembridge_character(h) == want, lam
+            partitions += 1
+    assert partitions == 67
 
 
 def test_top_immanant_character_reduces_to_hessenberg_data():

@@ -369,17 +369,32 @@ def test_scan_and_immanant_characters_count_no_kostka_chain(monkeypatch):
     assert kostka((2, 1), (1, 1, 1)) == 2 and len(calls) == 1
 
 
-def test_scan_expands_hooks_once_per_clipped_grid_and_size(monkeypatch):
+def test_scan_expands_hooks_once_per_clipped_grid(monkeypatch):
     real_hook_decompositions = immanants.verify.hook_decompositions
     keys = []
 
     def counted(shape, thetas):
-        keys.append((_clip(shape, 1), shape.size))
+        keys.append(_clip(shape, 1))
         return real_hook_decompositions(shape, thetas)
 
     monkeypatch.setattr("immanants.verify.hook_decompositions", counted)
     shapes = {json.dumps(r["shape"]) for r in scan_records(5, 8)}
-    assert (len(keys), len(set(keys)), len(shapes)) == (76, 76, 387)
+    # One call per grid clipped at 1, whatever the size.
+    assert (len(keys), len(set(keys)), len(shapes)) == (26, 26, 387)
+
+
+def test_scan_hook_summands_are_the_shapes_own():
+    # The summand memo is keyed by the grid clipped at 1 and shared across sizes: a memo
+    # keyed by the leg without the grid, or by theta across sizes, fails here.
+    sizes_by_grid = {}
+    for record in scan_records(5, 8):
+        if not record["hook"]:
+            continue
+        shape, theta = SkewShape.from_json(record["shape"]), tuple(record["theta"])
+        want = hook_decomposition(theta, shape).to_json()["summands"] if len(theta) - 1 < shape.rows else []
+        assert record["summands"] == want, record
+        sizes_by_grid.setdefault(_clip(shape, 1), set()).add(shape.size)
+    assert max(map(len, sizes_by_grid.values())) > 1
 
 
 def count_kernel_calls(monkeypatch):
@@ -485,24 +500,26 @@ def test_scan_computes_h_and_h_prime_once_per_shape(monkeypatch):
 def test_hook_suite_computes_h_and_h_prime_once_per_key(monkeypatch):
     calls = count_leading_runs(monkeypatch)
     assert suite_hook(5, 9).ok
-    # h and h' once for each of the 37 grids clipped at 1, not per shape or size.
-    assert sum(calls.values()) == 74 and max(calls.values()) == 2
+    # h and h' once for each of the 39 grids clipped at 1, the two pre-abelian examples'
+    # included, since the one pass serves both suites: not per shape or size.
+    assert sum(calls.values()) == 78 and max(calls.values()) == 2
 
 
 def test_positivity_suite_computes_h_once_per_key(monkeypatch):
     calls = count_leading_runs(monkeypatch)
     assert suite_positivity(4, 7).ok
-    # The small-excess filter reads h, a function of the grid clipped at 1: once for the
-    # first shape of each grid, whatever its size, so once for each pre-abelian example too.
+    # The small-excess filter reads h off the grid's one `hook_decompositions` call, which
+    # computes h and h': twice for the first shape of each grid clipped at 1, whatever its
+    # size, so for each pre-abelian example too.
     first = {}
     for shape in chain(preabelian_example_shapes(), _bounded_connected_shapes(4, 7)):
         first.setdefault(_clip(shape, 1), shape)
-    assert calls == Counter(first.values())
+    assert calls == Counter({shape: 2 for shape in first.values()})
     assert len(first) < len({(_clip(s, 1), s.size) for s in _bounded_connected_shapes(4, 7)})
 
 
 @pytest.mark.parametrize("names, calls", [
-    (["hook"], 37),
+    (["hook"], 39),
     (["positivity"], 39),
     (["hook", "positivity"], 39),
     (["positivity", "hook"], 39),
@@ -511,8 +528,8 @@ def test_positivity_suite_computes_h_once_per_key(monkeypatch):
 def test_hook_and_positivity_count_gamma_once_per_key_between_them(monkeypatch, names, calls):
     grids = count_kernel_calls(monkeypatch)
     reports = run_suites(names, 5, 9)
-    # One call per grid clipped at 1: 37 bounded grids, and two pre-abelian examples
-    # outside the bounds.  Keyed by (grid, hooks) the pass made 113 / 115 calls.
+    # One pass whichever suite is asked, one call per grid clipped at 1: 37 bounded
+    # grids, and two pre-abelian examples outside the bounds.
     assert len(grids) == len(set(grids)) == calls and all(r.ok for r in reports)
 
 
@@ -641,8 +658,9 @@ def test_hook_suite_counts_covers_once_per_distinct_key(monkeypatch):
 
     monkeypatch.setattr("immanants.verify._grid_characters", counted)
     assert suite_hook(5, 9).instances == 3109
-    # 811 shapes, 113 distinct (grid, hooks), 37 distinct grids: one call per grid.
-    assert len(grids) == len(set(grids)) == 37
+    # 811 shapes, 113 distinct (grid, hooks), 37 distinct grids, and the two pre-abelian
+    # examples' grids of the pass that serves both suites: one call per grid.
+    assert len(grids) == len(set(grids)) == 39
 
 
 def failing_thetas(report):
@@ -726,5 +744,6 @@ def test_hook_suite_counts_each_distinct_summand_once():
     stanley_stembridge_character.cache_clear()
     report = suite_hook(5, 9)
     assert report.ok and report.instances == 3109
-    # 5,190 (shape, summand) pairs, but only 53 distinct Hessenberg functions.
-    assert stanley_stembridge_character.cache_info().misses == 53
+    # 5,190 (shape, summand) pairs, but only 54 distinct Hessenberg functions, one of them
+    # from a pre-abelian example, whose grid the pass that serves both suites also checks.
+    assert stanley_stembridge_character.cache_info().misses == 54
